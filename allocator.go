@@ -30,9 +30,30 @@ func (id SessionID) String() string {
 	return fmt.Sprintf("session(%d)", id.n-1)
 }
 
+// Engine selects how the solvers evaluate oracles: Workers sizes the oracle
+// worker pool (0 = GOMAXPROCS; per shard when sharded), Plane picks the
+// shared SSSP plane's mode, and Shards runs oracle rounds on that many solver
+// shards behind a price-exchange boundary (0 = unsharded). It moves
+// wall-clock time only: outputs are bit-identical for every Engine.
+type Engine = core.Engine
+
+// PlaneMode is the shared SSSP plane's mode. The modes form a ladder from
+// the default PlaneSubtree (rows persist across rounds; touched rows repair
+// only their dirty subtrees) through PlaneRefill (touched rows refill whole)
+// and PlaneRound (every row recomputed each round) to PlaneOff (no plane).
+type PlaneMode = core.PlaneMode
+
+// The PlaneMode ladder.
+const (
+	PlaneSubtree = core.PlaneSubtree
+	PlaneRefill  = core.PlaneRefill
+	PlaneRound   = core.PlaneRound
+	PlaneOff     = core.PlaneOff
+)
+
 // AllocatorOptions configures an Allocator. The zero value is usable: hop- or
-// delay-based fixed IP routing, mu=30, epsilon=0.1, GOMAXPROCS workers,
-// shared SSSP plane and cross-round repair on, unbounded repair budget.
+// delay-based fixed IP routing, mu=30, epsilon=0.1, the zero Engine
+// (GOMAXPROCS workers, PlaneSubtree, unsharded), unbounded repair budget.
 type AllocatorOptions struct {
 	// Mu is the online step size (Table VI); 0 means 30, negative is an
 	// error. Values near the expected per-session rate work well.
@@ -43,30 +64,15 @@ type AllocatorOptions struct {
 	// Routing selects fixed IP routes or arbitrary (dynamic shortest-path)
 	// routing for every session's trees.
 	Routing Routing
-	// Workers sets the solver worker-pool size (0 = GOMAXPROCS). Outputs
-	// are bit-identical for every worker count.
-	Workers int
-	// DisablePlane turns off the shared SSSP plane; DisableRepair turns off
-	// its cross-round dirty-source repair; DisableSubtreeRepair turns off
-	// repair's incremental subtree path, leaving the original
-	// skip-or-full-refill behavior. Outputs are bit-identical either way;
-	// the toggles exist for the determinism gate and perf comparisons.
-	DisablePlane         bool
-	DisableRepair        bool
-	DisableSubtreeRepair bool
+	// Engine selects the solver engine for Snapshot/Rebalance. Shards are
+	// partitioned by the network's AS labels when it has them (two-level
+	// topologies) and by contiguous node ranges otherwise.
+	Engine Engine
 	// RepairPhaseBudget bounds the warm repair work per Snapshot/Rebalance,
 	// in session-phases: 0 = unbounded (a warm refresh always completes),
 	// positive = fall back to a cold re-solve when exceeded, negative =
 	// always re-solve cold (the baseline warm-start is measured against).
 	RepairPhaseBudget int
-	// Shards runs Snapshot/Rebalance oracle rounds on that many solver
-	// shards behind an explicit price-exchange boundary, partitioned by the
-	// network's AS labels when it has them (two-level topologies) and by
-	// contiguous node ranges otherwise. 0 = unsharded. Outputs are
-	// bit-identical for every shard count; the boundary exists for memory
-	// locality and for a future distributed transport. Workers sizes each
-	// shard's oracle pool.
-	Shards int
 }
 
 // OverlayTree is an immutable view of one overlay tree with its allocated
@@ -177,7 +183,7 @@ func (p PlaneStats) RepairRate() float64 {
 }
 
 // ShardStats exposes the sharded solver's price-exchange counters (zero when
-// AllocatorOptions.Shards is 0). All counters accumulate over the allocator's
+// AllocatorOptions.Engine.Shards is 0). All counters accumulate over the allocator's
 // lifetime.
 type ShardStats struct {
 	// Shards is the configured shard count.
@@ -290,11 +296,8 @@ func NewAllocator(net *Network, opts AllocatorOptions) (*Allocator, error) {
 		mode = core.RoutingArbitrary
 	}
 	warm, err := core.NewWarm(net.inner.Graph, mode, weights, core.WarmOptions{
-		Epsilon: opts.Epsilon, Workers: opts.Workers,
-		DisablePlane: opts.DisablePlane, DisableRepair: opts.DisableRepair,
-		DisableSubtreeRepair: opts.DisableSubtreeRepair,
-		RepairPhaseBudget:    opts.RepairPhaseBudget,
-		Shards:               opts.Shards, ShardLabels: net.inner.ASOf,
+		Epsilon: opts.Epsilon, Engine: opts.Engine, ShardLabels: net.inner.ASOf,
+		RepairPhaseBudget: opts.RepairPhaseBudget,
 	})
 	if err != nil {
 		return nil, err

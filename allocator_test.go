@@ -332,7 +332,7 @@ func TestWarmChurnReplayQualityAndDeterminism(t *testing.T) {
 	base := warm
 	for _, workers := range []int{2, 8} {
 		wcfg := cfg
-		wcfg.Workers = workers
+		wcfg.Engine.Workers = workers
 		rep, err := experiments.WarmChurnRun(2004, wcfg)
 		if err != nil {
 			t.Fatal(err)

@@ -565,7 +565,7 @@ func benchScaleParallelMCF(b *testing.B, scenario string, nodes, sessions, worke
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := core.MaxConcurrentFlow(si.Problem, core.MaxConcurrentFlowOptions{
-			Epsilon: 0.3, Parallel: true, Workers: workers,
+			Epsilon: 0.3, Parallel: true, Engine: core.Engine{Workers: workers},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -618,8 +618,8 @@ func BenchmarkScaleShardedMCF(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := core.MaxConcurrentFlow(si.Problem, core.MaxConcurrentFlowOptions{
-					Epsilon: 0.3, Parallel: true, Workers: 2,
-					Shards: shards, ShardLabels: si.Net.ASOf,
+					Epsilon: 0.3, Parallel: true, Engine: core.Engine{Workers: 2, Shards: shards},
+					ShardLabels: si.Net.ASOf,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -648,14 +648,15 @@ func BenchmarkScaleShardedMCF(b *testing.B) {
 // does NOT skip under -short.
 func BenchmarkScaleZipfHotPlane(b *testing.B) {
 	for _, scenario := range []string{"cdn", "livestream"} {
-		for _, plane := range []bool{true, false} {
+		for _, mode := range []core.PlaneMode{core.PlaneSubtree, core.PlaneOff} {
+			plane := mode != core.PlaneOff
 			b.Run(fmt.Sprintf("%s/plane=%v", scenario, plane), func(b *testing.B) {
 				si := scaleInstance(b, experiments.ScaleConfig{Nodes: 200, Sessions: 48, Scenario: scenario, Arbitrary: true})
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					sol, err := core.MaxFlow(si.Problem, core.MaxFlowOptions{
-						Epsilon: 0.35, Parallel: true, DisablePlane: !plane,
+						Epsilon: 0.35, Parallel: true, Engine: core.Engine{Plane: mode},
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -821,13 +822,12 @@ func benchPlaneRepair(b *testing.B, scenario string, degree int, mode string) {
 	si := scaleInstance(b, experiments.ScaleConfig{
 		Nodes: 200, Sessions: 48, Degree: degree, Scenario: scenario, Arbitrary: true,
 	})
+	plane := map[string]core.PlaneMode{"subtree": core.PlaneSubtree, "full": core.PlaneRefill, "off": core.PlaneRound}[mode]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sol, err := core.MaxFlow(si.Problem, core.MaxFlowOptions{
-			Epsilon: 0.35, Parallel: true,
-			DisableRepair:        mode == "off",
-			DisableSubtreeRepair: mode != "subtree",
+			Epsilon: 0.35, Parallel: true, Engine: core.Engine{Plane: plane},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -900,7 +900,8 @@ func BenchmarkScalePlaneRepairMCF10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("heavy scale benchmark skipped in -short mode")
 	}
-	for _, repair := range []bool{true, false} {
+	for _, mode := range []core.PlaneMode{core.PlaneSubtree, core.PlaneRound} {
+		repair := mode != core.PlaneRound
 		b.Run(fmt.Sprintf("repair=%v", repair), func(b *testing.B) {
 			si := scaleInstance(b, experiments.ScaleConfig{
 				Nodes: 10000, Sessions: 8, Degree: 3, Scenario: "cdn", Arbitrary: true,
@@ -909,7 +910,7 @@ func BenchmarkScalePlaneRepairMCF10k(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := core.MaxConcurrentFlow(si.Problem, core.MaxConcurrentFlowOptions{
-					Epsilon: 0.5, Parallel: true, DisableRepair: !repair,
+					Epsilon: 0.5, Parallel: true, Engine: core.Engine{Plane: mode},
 				})
 				if err != nil {
 					b.Fatal(err)

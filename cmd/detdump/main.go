@@ -1,11 +1,14 @@
 // Command detdump prints a full-precision fingerprint of solver outputs on
 // deterministic instances, used to verify that refactors keep solutions
-// bit-identical for fixed seeds. The CI determinism gate runs it at worker
-// counts 1, 2, and 8, at solver shard counts 1, 2, and 4 (-shards), with
-// the shared SSSP plane enabled and disabled (-plane=false) and the plane's
-// cross-round dirty-source repair enabled and disabled (-repair=false), and
-// repair's incremental subtree path enabled and disabled (-subtree=false), and
-// diffs the outputs: solver results must be a function of the seed only,
+// bit-identical for fixed seeds. Its one flag, -engine, takes a solver
+// engine spec (see core.ParseEngine), e.g.
+//
+//	detdump -engine workers=8,shards=4,plane=off
+//
+// and the output must not depend on it. The CI determinism gate runs it over
+// a list of specs covering worker counts 1, 2 and 8, shard counts 1, 2 and 4
+// and every plane mode (subtree, refill, round, off), and diffs each run
+// against the plain run: solver results must be a function of the seed only,
 // never of the worker-pool size, goroutine scheduling, how oracle rounds
 // were partitioned across price-exchanging shards, whether per-member
 // Dijkstras were batched on the plane, or whether ledger-clean plane rows
@@ -27,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"overcast"
 	"overcast/internal/core"
@@ -34,15 +38,13 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "oracle worker-pool size (0 = GOMAXPROCS); output must not depend on it")
-	shards := flag.Int("shards", 0, "solver shard count behind the price-exchange boundary (0 = unsharded); output must not depend on it")
-	plane := flag.Bool("plane", true, "enable the solve-scoped shared SSSP plane; output must not depend on it")
-	repair := flag.Bool("repair", true, "enable the plane's cross-round dirty-source repair; output must not depend on it")
-	subtree := flag.Bool("subtree", true, "enable repair's incremental subtree path; output must not depend on it")
+	spec := flag.String("engine", "", "solver engine spec, e.g. workers=8,shards=4,plane=off (\"\" = default); output must not depend on it")
 	flag.Parse()
-	disablePlane := !*plane
-	disableRepair := !*repair
-	disableSubtree := !*subtree
+	engine, err := core.ParseEngine(*spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "detdump:", err)
+		os.Exit(2)
+	}
 
 	for _, arb := range []bool{false, true} {
 		a, err := experiments.NewSettingA(7, experiments.SettingAConfig{
@@ -51,15 +53,12 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		a.SolverWorkers = *workers
-		a.SolverDisablePlane = disablePlane
-		a.SolverDisableRepair = disableRepair
-		a.SolverDisableSubtreeRepair = disableSubtree
+		a.Solver = engine
 		p := a.ProblemIP
 		if arb {
 			p = a.ProblemArb
 		}
-		mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.08, Parallel: true, Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair, DisableSubtreeRepair: disableSubtree, Shards: *shards})
+		mf, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.08, Parallel: true, Engine: engine})
 		if err != nil {
 			panic(err)
 		}
@@ -73,9 +72,7 @@ func main() {
 			}
 		}
 		mcf, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-			Epsilon: 0.1, Parallel: true, SurplusPass: true, Workers: *workers,
-			DisablePlane: disablePlane, DisableRepair: disableRepair,
-			DisableSubtreeRepair: disableSubtree, Shards: *shards,
+			Epsilon: 0.1, Parallel: true, SurplusPass: true, Engine: engine,
 		})
 		if err != nil {
 			panic(err)
@@ -98,9 +95,7 @@ func main() {
 
 	for _, scenario := range []string{"heavytail", "cdn"} {
 		si, err := experiments.NewScaleInstance(2026, experiments.ScaleConfig{
-			Nodes: 300, Sessions: 10, Scenario: scenario,
-			Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair,
-			DisableSubtreeRepair: disableSubtree, Shards: *shards,
+			Nodes: 300, Sessions: 10, Scenario: scenario, Engine: engine,
 		})
 		if err != nil {
 			panic(err)
@@ -131,7 +126,7 @@ func main() {
 	// leak into the sequential replay's outputs.
 	for _, scenario := range []string{"conferencing", "livestream"} {
 		rep, err := experiments.ChurnRun(2027, experiments.ChurnConfig{
-			Nodes: 300, Scenario: scenario, Workers: *workers, DisablePlane: disablePlane,
+			Nodes: 300, Scenario: scenario, Engine: engine,
 		})
 		if err != nil {
 			panic(err)
@@ -145,9 +140,7 @@ func main() {
 	// member nodes is exactly the regime the shared SSSP plane rebatches, so
 	// pin a fingerprint where the plane serves most per-member Dijkstras.
 	si, err := experiments.NewScaleInstance(2028, experiments.ScaleConfig{
-		Nodes: 150, Sessions: 12, Scenario: "cdn", Arbitrary: true,
-		Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair,
-		DisableSubtreeRepair: disableSubtree, Shards: *shards,
+		Nodes: 150, Sessions: 12, Scenario: "cdn", Arbitrary: true, Engine: engine,
 	})
 	if err != nil {
 		panic(err)
@@ -171,9 +164,7 @@ func main() {
 	// pin one fingerprint where -shards exercises the per-AS partition (cut
 	// edges = inter-AS links) the sharded solver is designed around.
 	tli, err := experiments.NewScaleInstance(2031, experiments.ScaleConfig{
-		Nodes: 240, Sessions: 8, SessionSize: 6, TwoLevelASes: 6,
-		Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair,
-		DisableSubtreeRepair: disableSubtree, Shards: *shards,
+		Nodes: 240, Sessions: 8, SessionSize: 6, TwoLevelASes: 6, Engine: engine,
 	})
 	if err != nil {
 		panic(err)
@@ -200,8 +191,7 @@ func main() {
 	// MF-vs-MCF report fingerprint (small tier only, all scenarios): the
 	// "which allocation wins where" table must be a pure function of the
 	// seed, like everything above it.
-	rows, err := experiments.MFvsMCFReport(2029, 0.3,
-		experiments.ReportSolverOptions{Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair, DisableSubtreeRepair: disableSubtree, Shards: *shards},
+	rows, err := experiments.MFvsMCFReport(2029, 0.3, engine,
 		nil, []experiments.ReportTier{{Name: "small", Nodes: 300, Sessions: 12}})
 	if err != nil {
 		panic(err)
@@ -220,10 +210,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	wa, err := overcast.NewAllocator(warmNet, overcast.AllocatorOptions{
-		Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair,
-		DisableSubtreeRepair: disableSubtree, Shards: *shards,
-	})
+	wa, err := overcast.NewAllocator(warmNet, overcast.AllocatorOptions{Engine: engine})
 	if err != nil {
 		panic(err)
 	}
@@ -298,8 +285,7 @@ func main() {
 	// End-to-end warm churn replay fingerprint (counters and final
 	// allocation only — the per-event trace is huge).
 	wrep, err := experiments.WarmChurnRun(2030, experiments.WarmChurnConfig{
-		Nodes: 80, Workers: *workers, DisablePlane: disablePlane, DisableRepair: disableRepair,
-		DisableSubtreeRepair: disableSubtree, Shards: *shards,
+		Nodes: 80, Engine: engine,
 	})
 	if err != nil {
 		panic(err)
@@ -321,11 +307,7 @@ func main() {
 			Rounds: 8, FailRound: 2, RecoverRound: 4, DriftRound: 5, FaultStorm: true},
 		{Nodes: 72, Sessions: 5, Rounds: 9, DriftFactor: 0.4},
 	} {
-		fc.Workers = *workers
-		fc.Shards = *shards
-		fc.DisablePlane = disablePlane
-		fc.DisableRepair = disableRepair
-		fc.DisableSubtreeRepair = disableSubtree
+		fc.Engine = engine
 		frep, err := experiments.FaultSolveRun(2032, fc)
 		if err != nil {
 			panic(err)

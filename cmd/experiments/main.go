@@ -5,7 +5,7 @@
 //
 //	experiments [-scale small|paper|large] [-seed N] [-trials N] [-maxpts N]
 //	            [-nodes N -sessions K -sessionsize S] [-scenario names]
-//	            [-workers W] [exp ...]
+//	            [-engine spec] [exp ...]
 //
 // where each exp is one of table2, fig2, table4, fig3, fig4, fig5, fig6,
 // table7, fig7, table8, fig8, fig9, fig10, fig11, fig12, fig13, fig14,
@@ -14,14 +14,15 @@
 // arguments the Setting-A experiments (table2..fig11) run; with -scale
 // large the scale tier runs.
 //
-// -workers sets the solvers' oracle worker-pool size (0 = GOMAXPROCS for
-// the scale tier, sequential solves for the sweep tiers, which already
-// parallelize across rows/cells/trials). Solver outputs are bit-identical
-// for every worker count — the knob moves wall-clock only. -plane=false
-// disables the shared SSSP plane on the scale/churn/report tiers, and
-// -repair=false its cross-round dirty-source repair (outputs are
-// plane- and repair-independent too; scale/churn rows print the plane's
-// dedup factor and repair skip rate when they fired).
+// -engine sets the solver engine (see core.ParseEngine), e.g.
+// -engine workers=8,shards=4,plane=off. workers is the oracle worker-pool
+// size (0 = GOMAXPROCS for the scale tier, sequential solves for the sweep
+// tiers, which already parallelize across rows/cells/trials); shards runs
+// the solvers on price-exchanging shards; plane picks the shared SSSP
+// plane's mode (subtree, refill, round or off). Solver outputs are
+// bit-identical for every engine — the flag moves wall-clock only
+// (scale/churn rows print the plane's dedup factor and repair skip rate
+// when they fired). The daemonchurn tier takes only its workers.
 //
 // The report experiment prints the per-scenario MF-vs-MCF comparison table
 // (overall throughput, demand-satisfaction floor, mean link utilization,
@@ -37,7 +38,7 @@
 // per-session oracles prefabricated across the worker pool:
 //
 //	experiments -scenario cdn churn
-//	experiments -nodes 2000 -workers 8 churn
+//	experiments -nodes 2000 -engine workers=8 churn
 //
 // The warmchurn experiment replays an arrival/departure trace through the
 // v2 Allocator with a periodic Snapshot cadence, once warm-started and once
@@ -45,7 +46,7 @@
 // allocations/sec both sustain plus the warm-start speedup:
 //
 //	experiments warmchurn
-//	experiments -nodes 400 -workers 8 warmchurn
+//	experiments -nodes 400 -engine workers=8 warmchurn
 //
 // The faultchurn experiment replays the same kind of churn trace
 // interleaved with a seeded link flap trace (Poisson failures, exponential
@@ -54,7 +55,7 @@
 // the damper's suppression bound on fault-forced cold re-solves:
 //
 //	experiments faultchurn
-//	experiments -nodes 600 -workers 8 faultchurn
+//	experiments -nodes 600 -engine workers=8 faultchurn
 //
 // The daemonchurn experiment boots an in-process overcastd admin server on
 // a unix socket and replays the same kind of trace through a concurrent
@@ -63,7 +64,7 @@
 // the daemon-path counterpart of warmchurn:
 //
 //	experiments daemonchurn
-//	experiments -nodes 400 -workers 8 daemonchurn
+//	experiments -nodes 400 -engine workers=8 daemonchurn
 //
 // -scale small (default) runs reduced instances in seconds; -scale paper
 // reproduces the paper's instance sizes (100-node Waxman, 10x100 two-level
@@ -94,6 +95,7 @@ import (
 	"strings"
 	"time"
 
+	"overcast/internal/core"
 	"overcast/internal/experiments"
 	"overcast/internal/stats"
 	"overcast/internal/workload"
@@ -108,12 +110,13 @@ func main() {
 	sessions := flag.Int("sessions", 64, "scale experiment: custom session count")
 	sessionSize := flag.Int("sessionsize", 6, "scale experiment: custom members per session")
 	scenario := flag.String("scenario", "", "scale experiment: workload scenarios, comma-separated (all | list | names)")
-	workers := flag.Int("workers", 0, "solver oracle worker-pool size (0 = auto); outputs are worker-count independent")
-	shards := flag.Int("shards", 0, "solver shard count behind the price-exchange boundary (settingB/scale/warmchurn/report tiers; 0 = unsharded); outputs are shard-count independent")
-	plane := flag.Bool("plane", true, "enable the solve-scoped shared SSSP plane (scale/churn/report tiers); outputs are plane-independent")
-	repair := flag.Bool("repair", true, "enable the plane's cross-round dirty-source repair; outputs are repair-independent")
-	subtree := flag.Bool("subtree", true, "enable repair's incremental subtree path; outputs are subtree-independent")
+	spec := flag.String("engine", "", "solver engine spec, e.g. workers=8,shards=4,plane=off (\"\" = default); outputs are engine-independent")
 	flag.Parse()
+	engine, err := core.ParseEngine(*spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 
 	if *scenario == "list" {
 		fmt.Println("Registered workload scenarios:")
@@ -143,8 +146,7 @@ func main() {
 
 	r := runner{scale: *scale, seed: *seed, trials: *trials, maxpts: *maxpts,
 		nodes: *nodes, sessions: *sessions, sessionSize: *sessionSize, scenario: *scenario,
-		workers: *workers, shards: *shards, disablePlane: !*plane, disableRepair: !*repair,
-		disableSubtree: !*subtree}
+		engine: engine}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "sessionsize" {
 			r.sessionSizeSet = true
@@ -170,11 +172,7 @@ type runner struct {
 	sessionSize    int
 	sessionSizeSet bool // -sessionsize given explicitly (conflicts with -scenario)
 	scenario       string
-	workers        int
-	shards         int
-	disablePlane   bool
-	disableRepair  bool
-	disableSubtree bool
+	engine         core.Engine
 
 	settingA *experiments.SettingA
 	settingB *experiments.SettingB
@@ -221,7 +219,7 @@ func (r *runner) a() (*experiments.SettingA, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.SolverWorkers = r.workers
+	a.Solver = r.engine
 	r.settingA = a
 	return a, nil
 }
@@ -238,8 +236,7 @@ func (r *runner) b() (*experiments.SettingB, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.SolverWorkers = r.workers
-	b.SolverShards = r.shards
+	b.Solver = r.engine
 	r.settingB = b
 	return b, nil
 }
@@ -500,11 +497,7 @@ func (r *runner) run(exp string) error {
 			cfgs = experiments.SmallScaleSuite()
 		}
 		for ci := range cfgs {
-			cfgs[ci].Workers = r.workers
-			cfgs[ci].Shards = r.shards
-			cfgs[ci].DisablePlane = r.disablePlane
-			cfgs[ci].DisableRepair = r.disableRepair
-			cfgs[ci].DisableSubtreeRepair = r.disableSubtree
+			cfgs[ci].Engine = r.engine
 		}
 		rows, err := experiments.ScaleSuite(r.seed, 0.3, true, cfgs)
 		if err != nil {
@@ -522,10 +515,7 @@ func (r *runner) run(exp string) error {
 				return err
 			}
 		}
-		rows, err := experiments.MFvsMCFReport(r.seed, 0.3, experiments.ReportSolverOptions{
-			Workers: r.workers, DisablePlane: r.disablePlane, DisableRepair: r.disableRepair,
-			DisableSubtreeRepair: r.disableSubtree, Shards: r.shards,
-		}, names, nil)
+		rows, err := experiments.MFvsMCFReport(r.seed, 0.3, r.engine, names, nil)
 		if err != nil {
 			return err
 		}
@@ -539,11 +529,7 @@ func (r *runner) run(exp string) error {
 				nodes = 600
 			}
 		}
-		cfg := experiments.WarmChurnConfig{
-			Nodes: nodes, Workers: r.workers, Shards: r.shards,
-			DisablePlane: r.disablePlane, DisableRepair: r.disableRepair,
-			DisableSubtreeRepair: r.disableSubtree,
-		}
+		cfg := experiments.WarmChurnConfig{Nodes: nodes, Engine: r.engine}
 		warm, cold, err := experiments.WarmChurnPair(r.seed, cfg)
 		if err != nil {
 			return err
@@ -567,9 +553,7 @@ func (r *runner) run(exp string) error {
 				nodes = 600
 			}
 		}
-		cfg := experiments.FaultChurnConfig{
-			Nodes: nodes, Workers: r.workers, Shards: r.shards,
-		}
+		cfg := experiments.FaultChurnConfig{Nodes: nodes, Engine: r.engine}
 		undamped, damped, err := experiments.FaultChurnPair(r.seed, cfg)
 		if err != nil {
 			return err
@@ -592,7 +576,7 @@ func (r *runner) run(exp string) error {
 			}
 		}
 		rep, err := experiments.DaemonChurnRun(r.seed, experiments.DaemonChurnConfig{
-			Nodes: nodes, Workers: r.workers,
+			Nodes: nodes, Workers: r.engine.Workers,
 		})
 		if err != nil {
 			return err
@@ -614,7 +598,7 @@ func (r *runner) run(exp string) error {
 				nodes = 2000
 			}
 		}
-		reports, err := experiments.ChurnSuite(r.seed, nodes, r.workers, r.disablePlane, names)
+		reports, err := experiments.ChurnSuite(r.seed, nodes, r.engine, names)
 		if err != nil {
 			return err
 		}

@@ -81,7 +81,7 @@ func run(socket, state string, snapshotEvery time.Duration, nodes int, capacity 
 		routing = overcast.RoutingArbitrary
 	}
 	alloc, err := overcast.NewAllocator(net, overcast.AllocatorOptions{
-		Mu: mu, Epsilon: epsilon, Routing: routing, Workers: workers,
+		Mu: mu, Epsilon: epsilon, Routing: routing, Engine: overcast.Engine{Workers: workers},
 		RepairPhaseBudget: budget,
 	})
 	if err != nil {

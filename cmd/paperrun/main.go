@@ -1,6 +1,5 @@
-// Command paperrun executes the paper-scale Setting A/B sweeps used to fill
-// EXPERIMENTS.md, printing every table and the summary statistics of every
-// figure. It is separated from cmd/experiments so the long-running
+// Command paperrun executes the paper-scale Setting A/B sweeps, printing
+// every table and the summary statistics of every figure. It is separated from cmd/experiments so the long-running
 // record-keeping pass has a stable, minimal surface.
 package main
 
@@ -32,7 +31,7 @@ func runA(seed uint64, workers int) {
 	if err != nil {
 		panic(err)
 	}
-	a.SolverWorkers = workers
+	a.Solver.Workers = workers
 	fmt.Printf("# Setting A: %s, sessions %d+%d members, seed %d\n",
 		a.Net.Name, a.Sessions[0].Size(), a.Sessions[1].Size(), seed)
 
@@ -99,7 +98,7 @@ func runB(seed uint64, workers int) {
 	if err != nil {
 		panic(err)
 	}
-	b.SolverWorkers = workers
+	b.Solver.Workers = workers
 	fmt.Printf("# Setting B: %s (scaled: 5 AS x 20 routers; paper: 10x100), seed %d\n", b.Net.Name, seed)
 	cfg := experiments.GridConfig{
 		SessionCounts: []int{1, 3, 5, 7, 9},

@@ -1,6 +1,6 @@
 // Command quicka2 records the arbitrary-routing tables and the Fig. 5/6
-// tree-limit sweep at a reduced ratio set (see EXPERIMENTS.md for why the
-// 0.98/0.99 arbitrary columns are out of wall-clock budget).
+// tree-limit sweep at a reduced ratio set (the 0.98/0.99 arbitrary columns
+// are out of wall-clock budget).
 package main
 
 import (

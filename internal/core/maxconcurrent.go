@@ -20,31 +20,10 @@ type MaxConcurrentFlowOptions struct {
 	// the phase loop fans each round of pending-session oracle calls out to
 	// a persistent worker pool.
 	Parallel bool
-	// Workers sets the oracle worker-pool size explicitly: 0 defers to
-	// Parallel (GOMAXPROCS when set, 1 otherwise); any positive value is
-	// used as given, so Workers=1 forces the sequential path. Outputs are
-	// bit-identical for every worker count.
-	Workers int
-	// DisablePlane turns off the solve-scoped shared SSSP plane in every
-	// batched oracle round (phase loop, beta prestep, surplus pass); see
-	// MaxFlowOptions.DisablePlane. Outputs are bit-identical either way.
-	DisablePlane bool
-	// DisableRepair turns off cross-round dirty-source repair on every
-	// plane this solve creates (phase loop, beta prestep subsolves, surplus
-	// pass) and the beta prestep's cross-subproblem seed plane; see
-	// MaxFlowOptions.DisableRepair. Outputs are bit-identical either way.
-	DisableRepair bool
-	// DisableSubtreeRepair turns off the planes' incremental subtree repair
-	// everywhere this solve evaluates oracles (phase loop, beta prestep
-	// subsolves, surplus pass); see MaxFlowOptions.DisableSubtreeRepair.
-	// Outputs are bit-identical either way.
-	DisableSubtreeRepair bool
-	// Shards splits the phase loop's oracle rounds (and the surplus pass's)
-	// across per-AS shard goroutines behind an explicit price-message
-	// boundary; see MaxFlowOptions.Shards. 0 = unsharded; outputs are
-	// bit-identical for every shard count. The beta prestep stays unsharded
-	// (its subproblems are single-session).
-	Shards int
+	// Engine selects the oracle runner of the phase loop and the surplus
+	// pass; see MaxFlowOptions.Engine. The beta prestep takes its Workers and
+	// Plane but stays unsharded (its subproblems are single-session).
+	Engine Engine
 	// ShardLabels optionally assigns every node a partition label; see
 	// MaxFlowOptions.ShardLabels.
 	ShardLabels []int
@@ -154,12 +133,12 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 		return nil, fmt.Errorf("core: MaxConcurrentFlow capture is incompatible with the surplus pass")
 	}
 	k := p.K()
-	workers := resolveWorkers(opts.Parallel, opts.Workers)
+	engine := opts.Engine.resolved(opts.Parallel)
 
 	// Pre-step: beta_i = single-session maximum flow, for demand scaling.
 	// See prestep.go for the batched formulation (cross-subproblem seed
 	// plane + per-subproblem persistent planes).
-	betas, prestepOps, prestepPlane, err := prestepBetas(p, eps, workers, opts)
+	betas, prestepOps, prestepPlane, err := prestepBetas(p, eps, engine)
 	if err != nil {
 		return nil, err
 	}
@@ -213,12 +192,7 @@ func MaxConcurrentFlow(p *Problem, opts MaxConcurrentFlowOptions) (*MCFResult, e
 	// The phase loop fans each round of pending-session oracle calls out to
 	// the persistent worker pool (per-worker scratch); the pool outlives all
 	// phases, so goroutines and buffers are built exactly once per solve.
-	runner := newOracleRunner(p.G, p.Oracles, overlay.BatchOptions{
-		Workers:              workers,
-		SharedPlane:          !opts.DisablePlane,
-		DisableRepair:        opts.DisableRepair,
-		DisableSubtreeRepair: opts.DisableSubtreeRepair,
-	}, opts.Shards, opts.ShardLabels)
+	runner := NewRunner(p.G, p.Oracles, engine, opts.ShardLabels, nil, false)
 	defer runner.Close()
 	rem := make([]float64, k)
 	pending := make([]int, 0, k)
@@ -356,10 +330,7 @@ func addSurplus(p *Problem, sol *Solution, eps float64, opts MaxConcurrentFlowOp
 		return fmt.Errorf("core: surplus problem: %w", err)
 	}
 	extra, err := MaxFlow(rp, MaxFlowOptions{
-		Epsilon: eps, Parallel: opts.Parallel, Workers: opts.Workers,
-		DisablePlane: opts.DisablePlane, DisableRepair: opts.DisableRepair,
-		DisableSubtreeRepair: opts.DisableSubtreeRepair,
-		Shards:               opts.Shards, ShardLabels: opts.ShardLabels,
+		Epsilon: eps, Parallel: opts.Parallel, Engine: opts.Engine, ShardLabels: opts.ShardLabels,
 	})
 	if err != nil {
 		return fmt.Errorf("core: surplus pass: %w", err)

@@ -5,19 +5,20 @@ import (
 	"sync"
 )
 
-// resolveWorkers turns the (Parallel, Workers) option pair into a concrete
-// oracle worker-pool size. An explicit Workers value always wins (1 forces
-// the sequential path even with Parallel set, which is what the detdump
-// cross-worker determinism gate sweeps); Workers == 0 falls back to
-// GOMAXPROCS when Parallel is set and to 1 otherwise.
-func resolveWorkers(parallel bool, workers int) int {
-	if workers > 0 {
-		return workers
+// resolved returns e with a concrete oracle worker-pool size. An explicit
+// Workers value always wins (1 forces the sequential path even with parallel
+// set, which is what the detdump cross-worker determinism gate sweeps);
+// Workers == 0 falls back to GOMAXPROCS when parallel is set and to 1
+// otherwise.
+func (e Engine) resolved(parallel bool) Engine {
+	if e.Workers > 0 {
+		return e
 	}
+	e.Workers = 1
 	if parallel {
-		return runtime.GOMAXPROCS(0)
+		e.Workers = runtime.GOMAXPROCS(0)
 	}
-	return 1
+	return e
 }
 
 // parallelFor runs fn(i) for i in [0,n) across at most workers goroutines

@@ -42,26 +42,26 @@ import (
 // betas, the total spanning-tree operations, and the aggregated plane
 // counters (seed fills count as PlaneSources; rows subproblems copied from a
 // seed count as PlaneSeeded).
-func prestepBetas(p *Problem, eps float64, workers int, opts MaxConcurrentFlowOptions) ([]float64, int, overlay.Metrics, error) {
+func prestepBetas(p *Problem, eps float64, engine Engine) ([]float64, int, overlay.Metrics, error) {
 	k := p.K()
 	var prestepPlane overlay.Metrics
 	seeds := make([]*overlay.Plane, k) // per-session seed (shared pointers within a group)
-	if !opts.DisablePlane && !opts.DisableRepair {
-		prestepPlane = buildPrestepSeeds(p, eps, workers, seeds)
+	// The seed plane belongs to cross-round repair: PlaneRound and PlaneOff
+	// skip it.
+	if engine.Plane <= PlaneRefill {
+		prestepPlane = buildPrestepSeeds(p, eps, engine.Workers, seeds)
 	}
 
 	betas := make([]float64, k)
 	perSessionOps := make([]int, k)
 	perSessionPlane := make([]overlay.Metrics, k)
 	prestepErrs := make([]error, k)
-	parallelFor(workers, k, func(i int) {
+	parallelFor(engine.Workers, k, func(i int) {
 		sub := singleSessionProblem(p, i)
 		mf, err := MaxFlow(sub, MaxFlowOptions{
-			Epsilon: eps, Workers: 1,
-			DisablePlane:         opts.DisablePlane,
-			DisableRepair:        opts.DisableRepair,
-			DisableSubtreeRepair: opts.DisableSubtreeRepair,
-			seedPlane:            seeds[i],
+			Epsilon:   eps,
+			Engine:    Engine{Workers: 1, Plane: engine.Plane},
+			seedPlane: seeds[i],
 		})
 		if err != nil {
 			prestepErrs[i] = fmt.Errorf("core: beta prestep session %d: %w", i, err)

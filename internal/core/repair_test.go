@@ -18,9 +18,10 @@ func TestRepairToggleBitIdentical(t *testing.T) {
 		p := workerSweepProblem(t, mode)
 		var base *core.MCFResult
 		for _, w := range workerCounts {
-			for _, disable := range []bool{false, true} {
+			for _, plane := range []core.PlaneMode{core.PlaneSubtree, core.PlaneRound} {
+				disable := plane == core.PlaneRound
 				res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-					Epsilon: 0.12, Parallel: true, Workers: w, SurplusPass: true, DisableRepair: disable,
+					Epsilon: 0.12, Parallel: true, Engine: core.Engine{Workers: w, Plane: plane}, SurplusPass: true,
 				})
 				if err != nil {
 					t.Fatalf("mode=%v workers=%d disable=%v: %v", mode, w, disable, err)
@@ -61,9 +62,10 @@ func TestRepairToggleBitIdenticalMaxFlow(t *testing.T) {
 	p := workerSweepProblem(t, core.RoutingArbitrary)
 	var base *core.Solution
 	for _, w := range workerCounts {
-		for _, disable := range []bool{false, true} {
+		for _, plane := range []core.PlaneMode{core.PlaneSubtree, core.PlaneRound} {
+			disable := plane == core.PlaneRound
 			sol, err := core.MaxFlow(p, core.MaxFlowOptions{
-				Epsilon: 0.1, Parallel: true, Workers: w, DisableRepair: disable,
+				Epsilon: 0.1, Parallel: true, Engine: core.Engine{Workers: w, Plane: plane},
 			})
 			if err != nil {
 				t.Fatalf("workers=%d disable=%v: %v", w, disable, err)

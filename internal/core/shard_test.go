@@ -36,15 +36,15 @@ func twoLevelSweepProblem(t *testing.T, mode core.RoutingMode) (*core.Problem, [
 func TestMaxFlowBitIdenticalAcrossShardCounts(t *testing.T) {
 	for _, mode := range []core.RoutingMode{core.RoutingIP, core.RoutingArbitrary} {
 		p, labels := twoLevelSweepProblem(t, mode)
-		base, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1, Workers: 1})
+		base, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1, Engine: core.Engine{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range shardCounts {
 			for _, w := range []int{1, 8} {
 				sol, err := core.MaxFlow(p, core.MaxFlowOptions{
-					Epsilon: 0.1, Parallel: true, Workers: w,
-					Shards: shards, ShardLabels: labels,
+					Epsilon: 0.1, Parallel: true, Engine: core.Engine{Workers: w, Shards: shards},
+					ShardLabels: labels,
 				})
 				if err != nil {
 					t.Fatalf("mode=%v shards=%d workers=%d: %v", mode, shards, w, err)
@@ -62,7 +62,7 @@ func TestMCFBitIdenticalAcrossShardCounts(t *testing.T) {
 	for _, mode := range []core.RoutingMode{core.RoutingIP, core.RoutingArbitrary} {
 		p, labels := twoLevelSweepProblem(t, mode)
 		base, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-			Epsilon: 0.12, Workers: 1, SurplusPass: true,
+			Epsilon: 0.12, Engine: core.Engine{Workers: 1}, SurplusPass: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -77,8 +77,8 @@ func TestMCFBitIdenticalAcrossShardCounts(t *testing.T) {
 		for _, shards := range shardCounts {
 			for _, w := range []int{1, 8} {
 				res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-					Epsilon: 0.12, Parallel: true, Workers: w, SurplusPass: true,
-					Shards: shards, ShardLabels: labels,
+					Epsilon: 0.12, Parallel: true, Engine: core.Engine{Workers: w, Shards: shards},
+					SurplusPass: true, ShardLabels: labels,
 				})
 				if err != nil {
 					t.Fatalf("mode=%v shards=%d workers=%d: %v", mode, shards, w, err)
@@ -91,8 +91,8 @@ func TestMCFBitIdenticalAcrossShardCounts(t *testing.T) {
 		}
 		// Plane/repair toggles on the sharded path reproduce the same bits.
 		for _, opt := range []core.MaxConcurrentFlowOptions{
-			{Epsilon: 0.12, Workers: 2, SurplusPass: true, Shards: 4, ShardLabels: labels, DisablePlane: true},
-			{Epsilon: 0.12, Workers: 2, SurplusPass: true, Shards: 4, ShardLabels: labels, DisableRepair: true},
+			{Epsilon: 0.12, Engine: core.Engine{Workers: 2, Shards: 4, Plane: core.PlaneOff}, SurplusPass: true, ShardLabels: labels},
+			{Epsilon: 0.12, Engine: core.Engine{Workers: 2, Shards: 4, Plane: core.PlaneRound}, SurplusPass: true, ShardLabels: labels},
 		} {
 			res, err := core.MaxConcurrentFlow(p, opt)
 			if err != nil {
@@ -126,7 +126,7 @@ func TestWarmShardedBitIdentical(t *testing.T) {
 			labels = net.ASOf
 		}
 		w, err := core.NewWarm(g, core.RoutingArbitrary, nil, core.WarmOptions{
-			Epsilon: 0.15, Workers: 2, Shards: shards, ShardLabels: labels,
+			Epsilon: 0.15, Engine: core.Engine{Workers: 2, Shards: shards}, ShardLabels: labels,
 		})
 		if err != nil {
 			t.Fatal(err)

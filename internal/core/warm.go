@@ -56,21 +56,12 @@ import (
 type WarmOptions struct {
 	// Epsilon is the FPTAS error parameter, in (0, 0.5].
 	Epsilon float64
-	// Workers sets the oracle worker-pool size (0 = GOMAXPROCS). Outputs are
-	// bit-identical for every worker count.
-	Workers int
-	// DisablePlane / DisableRepair / DisableSubtreeRepair forward to the
-	// anchor solves and the warm repair runner; see
-	// MaxConcurrentFlowOptions. Bit-identical either way.
-	DisablePlane         bool
-	DisableRepair        bool
-	DisableSubtreeRepair bool
-	// Shards/ShardLabels forward to the anchor solves and the warm repair
-	// runner: the repair phases then evaluate oracles on per-AS shards
-	// behind the same price-message boundary as the cold phase loop (see
-	// MaxConcurrentFlowOptions.Shards). 0 = unsharded; bit-identical either
-	// way.
-	Shards      int
+	// Engine selects the oracle runner of the anchor solves and the warm
+	// repair phases (Workers 0 = GOMAXPROCS); see MaxConcurrentFlowOptions.
+	// Outputs are bit-identical for every Engine.
+	Engine Engine
+	// ShardLabels optionally assigns every node a partition label for
+	// Engine.Shards; see MaxFlowOptions.ShardLabels.
 	ShardLabels []int
 	// RepairPhaseBudget bounds the warm repair work per Refresh, counted in
 	// session-phases (one session's demand routed through one phase). 0
@@ -110,7 +101,7 @@ type WarmStats struct {
 	Plane overlay.Metrics
 	// Shards aggregates the sharded solver's price-exchange and reduce
 	// counters across the anchors' phase loops and the warm repair runner
-	// (zero-valued when WarmOptions.Shards is 0).
+	// (zero-valued when WarmOptions.Engine.Shards is 0).
 	Shards shard.Stats
 }
 
@@ -135,7 +126,7 @@ type Warm struct {
 	active   []bool
 	nActive  int
 
-	runner oracleRunner // lazily created; oracle id == slot
+	runner Runner // lazily created; oracle id == slot
 
 	// Anchored state (d == nil until the first cold solve).
 	d        *graph.LengthStore
@@ -387,13 +378,7 @@ func (w *Warm) Refresh() error {
 
 func (w *Warm) ensureRunner() {
 	if w.runner == nil {
-		w.runner = newOracleRunner(w.g, append([]overlay.TreeOracle(nil), w.oracles...), overlay.BatchOptions{
-			Workers:              resolveWorkers(true, w.opts.Workers),
-			SharedPlane:          !w.opts.DisablePlane,
-			DisableRepair:        w.opts.DisableRepair,
-			DisableSubtreeRepair: w.opts.DisableSubtreeRepair,
-			Dynamic:              true,
-		}, w.opts.Shards, w.opts.ShardLabels)
+		w.runner = NewRunner(w.g, append([]overlay.TreeOracle(nil), w.oracles...), w.opts.Engine.resolved(true), w.opts.ShardLabels, nil, true)
 	}
 }
 
@@ -604,10 +589,7 @@ func (w *Warm) cold() error {
 	}
 	cap := &warmCapture{}
 	res, err := MaxConcurrentFlow(p, MaxConcurrentFlowOptions{
-		Epsilon: w.eps, Parallel: true, Workers: w.opts.Workers,
-		DisablePlane: w.opts.DisablePlane, DisableRepair: w.opts.DisableRepair,
-		DisableSubtreeRepair: w.opts.DisableSubtreeRepair,
-		Shards:               w.opts.Shards, ShardLabels: w.opts.ShardLabels,
+		Epsilon: w.eps, Parallel: true, Engine: w.opts.Engine, ShardLabels: w.opts.ShardLabels,
 		capture: cap,
 	})
 	if err != nil {

@@ -215,10 +215,9 @@ func TestWarmLeaveRegrowQualityVsExact(t *testing.T) {
 func TestWarmDeterministicAcrossWorkersAndPlane(t *testing.T) {
 	const eps = 0.1
 	g, memberSets := warmTestInstance(t, 74)
-	run := func(workers int, disablePlane, disableRepair bool) string {
+	run := func(e core.Engine) string {
 		w, err := core.NewWarm(g, core.RoutingArbitrary, nil, core.WarmOptions{
-			Epsilon: eps, Workers: workers,
-			DisablePlane: disablePlane, DisableRepair: disableRepair,
+			Epsilon: eps, Engine: e,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -243,14 +242,13 @@ func TestWarmDeterministicAcrossWorkersAndPlane(t *testing.T) {
 		snap()
 		return fp
 	}
-	want := run(1, false, false)
-	for _, cfg := range []struct {
-		workers                     int
-		disablePlane, disableRepair bool
-	}{{2, false, false}, {8, false, false}, {1, true, false}, {2, false, true}, {2, true, true}} {
-		if got := run(cfg.workers, cfg.disablePlane, cfg.disableRepair); got != want {
-			t.Fatalf("workers=%d plane=%v repair=%v diverged:\n%s\nvs\n%s",
-				cfg.workers, !cfg.disablePlane, !cfg.disableRepair, got, want)
+	want := run(core.Engine{Workers: 1})
+	for _, e := range []core.Engine{
+		{Workers: 2}, {Workers: 8}, {Workers: 1, Plane: core.PlaneOff},
+		{Workers: 2, Plane: core.PlaneRound}, {Workers: 2, Plane: core.PlaneRefill}, {Workers: 2, Plane: core.PlaneOff},
+	} {
+		if got := run(e); got != want {
+			t.Fatalf("engine %q diverged:\n%s\nvs\n%s", e, got, want)
 		}
 	}
 }

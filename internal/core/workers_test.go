@@ -62,7 +62,7 @@ func TestMaxFlowBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		p := workerSweepProblem(t, mode)
 		var base *core.Solution
 		for _, w := range workerCounts {
-			sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1, Parallel: true, Workers: w})
+			sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.1, Parallel: true, Engine: core.Engine{Workers: w}})
 			if err != nil {
 				t.Fatalf("mode=%v workers=%d: %v", mode, w, err)
 			}
@@ -84,7 +84,7 @@ func TestMCFBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		var base *core.MCFResult
 		for _, w := range workerCounts {
 			res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-				Epsilon: 0.12, Parallel: true, Workers: w, SurplusPass: true,
+				Epsilon: 0.12, Parallel: true, Engine: core.Engine{Workers: w}, SurplusPass: true,
 			})
 			if err != nil {
 				t.Fatalf("mode=%v workers=%d: %v", mode, w, err)
@@ -123,9 +123,10 @@ func TestPlaneToggleBitIdentical(t *testing.T) {
 		p := workerSweepProblem(t, mode)
 		var base *core.MCFResult
 		for _, w := range workerCounts {
-			for _, disable := range []bool{false, true} {
+			for _, plane := range []core.PlaneMode{core.PlaneSubtree, core.PlaneOff} {
+				disable := plane == core.PlaneOff
 				res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-					Epsilon: 0.12, Parallel: true, Workers: w, SurplusPass: true, DisablePlane: disable,
+					Epsilon: 0.12, Parallel: true, Engine: core.Engine{Workers: w, Plane: plane}, SurplusPass: true,
 				})
 				if err != nil {
 					t.Fatalf("mode=%v workers=%d disable=%v: %v", mode, w, disable, err)
@@ -157,7 +158,7 @@ func TestWorkersKnobForcesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.15, Parallel: true, Workers: 1})
+	forced, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: 0.15, Parallel: true, Engine: core.Engine{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

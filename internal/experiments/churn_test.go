@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"overcast/internal/core"
 )
 
 // TestChurnRunDeterministicAcrossWorkers replays the same scenario trace
@@ -11,7 +13,7 @@ import (
 func TestChurnRunDeterministicAcrossWorkers(t *testing.T) {
 	var base *ChurnReport
 	for _, workers := range []int{1, 8} {
-		rep, err := ChurnRun(41, ChurnConfig{Nodes: 200, Scenario: "cdn", Workers: workers})
+		rep, err := ChurnRun(41, ChurnConfig{Nodes: 200, Scenario: "cdn", Engine: core.Engine{Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +60,7 @@ func TestChurnRunScenarioShapes(t *testing.T) {
 }
 
 func TestChurnSuite(t *testing.T) {
-	reports, err := ChurnSuite(11, 150, 0, false, []string{"uniform", "heavytail"})
+	reports, err := ChurnSuite(11, 150, core.Engine{}, []string{"uniform", "heavytail"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestChurnSuite(t *testing.T) {
 			t.Fatalf("report render missing scenario: %s", rep.String())
 		}
 	}
-	if _, err := ChurnSuite(11, 150, 0, false, []string{"bogus"}); err == nil {
+	if _, err := ChurnSuite(11, 150, core.Engine{}, []string{"bogus"}); err == nil {
 		t.Fatal("bogus scenario accepted")
 	}
 	if _, err := ChurnRun(1, ChurnConfig{Nodes: 2}); err == nil {
@@ -89,9 +91,10 @@ func TestChurnSuite(t *testing.T) {
 // strictly below PlaneRequests on a Zipf-hot scenario).
 func TestChurnRunPlaneToggleBitIdentical(t *testing.T) {
 	var base *ChurnReport
-	for _, disable := range []bool{false, true} {
+	for _, plane := range []core.PlaneMode{core.PlaneSubtree, core.PlaneOff} {
+		disable := plane == core.PlaneOff
 		for _, workers := range []int{1, 4} {
-			rep, err := ChurnRun(43, ChurnConfig{Nodes: 200, Scenario: "livestream", Workers: workers, DisablePlane: disable})
+			rep, err := ChurnRun(43, ChurnConfig{Nodes: 200, Scenario: "livestream", Engine: core.Engine{Workers: workers, Plane: plane}})
 			if err != nil {
 				t.Fatal(err)
 			}

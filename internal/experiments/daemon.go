@@ -138,7 +138,7 @@ func DaemonChurnRun(seed uint64, cfg DaemonChurnConfig) (*DaemonChurnReport, err
 	}
 
 	alloc, err := overcast.NewAllocator(net, overcast.AllocatorOptions{
-		Workers: cfg.Workers, RepairPhaseBudget: cfg.RepairPhaseBudget,
+		Engine: overcast.Engine{Workers: cfg.Workers}, RepairPhaseBudget: cfg.RepairPhaseBudget,
 	})
 	if err != nil {
 		return nil, err

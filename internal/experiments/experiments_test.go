@@ -128,8 +128,9 @@ func TestFairnessComparisonMFvsMCF(t *testing.T) {
 
 func TestArbitraryRoutingDominatesIP(t *testing.T) {
 	// Sec. V-C claims arbitrary routing changes throughput by <1%. On our
-	// BRITE-style instances the gain is substantial (1.5-2.2x; see
-	// EXPERIMENTS.md) — the claim does not reproduce. What must hold is the
+	// BRITE-style instances the gain is substantial (1.5-2.2x; compare
+	// `go run ./cmd/experiments table2 table7`) — the claim does not
+	// reproduce. What must hold is the
 	// direction: dynamic routing only widens the feasible set, so the
 	// arbitrary-routing optimum is never meaningfully below the IP one.
 	a := smallA(t)

@@ -9,9 +9,9 @@ package experiments
 // Garg–Könemann-style multiplicative length updates between rounds and fault
 // events injected mid-stream. Its fingerprint covers solver *outputs* only
 // (tree identities and lengths), never counters, so one scenario replayed
-// across workers x shards x plane/repair toggles must produce bit-identical
-// fingerprints while the robustness counters (plane non-monotone refills,
-// shard fault resyncs) vary with the toggles.
+// across every engine (workers x shards x plane mode) must produce
+// bit-identical fingerprints while the robustness counters (plane
+// non-monotone refills, shard fault resyncs) vary with the engine.
 //
 // FaultChurnRun replays session churn interleaved with a link flap trace
 // through the public Allocator surface — optionally filtered through the
@@ -25,6 +25,7 @@ import (
 
 	"overcast"
 	"overcast/internal/churn"
+	"overcast/internal/core"
 	"overcast/internal/graph"
 	"overcast/internal/overlay"
 	"overcast/internal/rng"
@@ -41,14 +42,9 @@ type FaultSolveConfig struct {
 	// TwoLevelASes switches to the paper's two-level AS/router topology (the
 	// natural shard partition); 0 keeps flat Waxman.
 	TwoLevelASes int
-	// Workers / DisablePlane / DisableRepair / DisableSubtreeRepair /
-	// Shards are the wall-clock toggles under test: outputs must be
-	// bit-identical across all of them.
-	Workers              int
-	DisablePlane         bool
-	DisableRepair        bool
-	DisableSubtreeRepair bool
-	Shards               int
+	// Engine is the wall-clock setting under test: outputs must be
+	// bit-identical for every Engine.
+	Engine core.Engine
 	// Rounds is the number of oracle rounds (default 10). Between rounds
 	// every returned tree's edges take a multiplicative length bump of
 	// (1 + BumpEpsilon·n_e), the Garg–Könemann update shape.
@@ -110,10 +106,10 @@ type FaultSolveReport struct {
 	UnderlayEvents int
 	// Fingerprint hashes the solver outputs: every round's tree identities
 	// and lengths plus the final ledger, all at full float precision. It
-	// must be identical across workers x shards x plane/repair toggles.
+	// must be identical for every engine.
 	Fingerprint string
 	// Plane carries the runner's metrics; PlaneNonMonotone counts rows the
-	// recovery shrink degraded to full refills (toggle-dependent, excluded
+	// recovery shrink degraded to full refills (engine-dependent, excluded
 	// from the fingerprint).
 	Plane overlay.Metrics
 	// FaultResyncs / Resyncs are the shard group's counters (zero when
@@ -132,20 +128,12 @@ func (r FaultSolveReport) String() string {
 		r.SolveTime.Round(time.Millisecond))
 }
 
-// faultRunner is the slice of the oracle-runner contract the harness drives
-// (satisfied by overlay.BatchRunner and shard.Group alike).
-type faultRunner interface {
-	MinTreesLen(ls *graph.LengthStore, ids []int) []overlay.BatchResult
-	Metrics() overlay.Metrics
-	Close()
-}
-
 // FaultSolveRun replays the configured fault scenario against a persistent
 // runner: Rounds oracle rounds over one LengthStore, Garg–Könemann length
 // bumps between rounds, and fault events (mirrored onto the ledger as
 // explicit, possibly non-monotone Bump mutations) after their configured
 // rounds. Deterministic for a given (seed, scenario); the fingerprint is
-// independent of Workers, Shards, DisablePlane, and DisableRepair.
+// independent of the engine.
 func FaultSolveRun(seed uint64, cfg FaultSolveConfig) (*FaultSolveReport, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -162,28 +150,7 @@ func FaultSolveRun(seed uint64, cfg FaultSolveConfig) (*FaultSolveReport, error)
 		return nil, fmt.Errorf("experiments: fault solve run needs >=2 edges")
 	}
 
-	var runner faultRunner
-	var group *shard.Group
-	if cfg.Shards > 0 {
-		group = shard.NewGroup(g, si.Problem.Oracles, shard.Options{
-			Shards:               cfg.Shards,
-			Labels:               si.Net.ASOf,
-			Workers:              cfg.Workers,
-			SharedPlane:          !cfg.DisablePlane,
-			DisableRepair:        cfg.DisableRepair,
-			DisableSubtreeRepair: cfg.DisableSubtreeRepair,
-			Dynamic:              true,
-		})
-		runner = group
-	} else {
-		runner = overlay.NewBatchRunnerOpts(g, si.Problem.Oracles, overlay.BatchOptions{
-			Workers:              cfg.Workers,
-			SharedPlane:          !cfg.DisablePlane,
-			DisableRepair:        cfg.DisableRepair,
-			DisableSubtreeRepair: cfg.DisableSubtreeRepair,
-			Dynamic:              true,
-		})
-	}
+	runner := core.NewRunner(g, si.Problem.Oracles, cfg.Engine, si.Net.ASOf, nil, true)
 	defer runner.Close()
 
 	// The fault state rewrites capacities on the shared instance graph;
@@ -249,7 +216,7 @@ func FaultSolveRun(seed uint64, cfg FaultSolveConfig) (*FaultSolveReport, error)
 		Plane:          runner.Metrics(),
 		SolveTime:      time.Since(start),
 	}
-	if group != nil {
+	if group, ok := runner.(*shard.Group); ok {
 		gs := group.Stats()
 		rep.FaultResyncs, rep.Resyncs = gs.FaultResyncs, gs.Resyncs
 	}
@@ -265,10 +232,9 @@ type FaultChurnConfig struct {
 	Horizon          float64
 	SizeMin, SizeMax int
 	Demand           float64
-	Mu               float64 // online step size (default 30)
-	Epsilon          float64 // FPTAS error (default 0.1)
-	Workers          int
-	Shards           int
+	Mu               float64     // online step size (default 30)
+	Epsilon          float64     // FPTAS error (default 0.1)
+	Engine           core.Engine // the allocator's solver engine
 	// SnapshotEvery refreshes the fair allocation every N churn events
 	// (default 4).
 	SnapshotEvery int
@@ -421,7 +387,7 @@ func FaultChurnRun(seed uint64, cfg FaultChurnConfig) (*FaultChurnReport, error)
 
 	alloc, err := overcast.NewAllocator(net, overcast.AllocatorOptions{
 		Mu: cfg.Mu, Epsilon: cfg.Epsilon, Routing: overcast.RoutingArbitrary,
-		Workers: cfg.Workers, Shards: cfg.Shards,
+		Engine: cfg.Engine,
 	})
 	if err != nil {
 		return nil, err

@@ -1,8 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
+
+	"overcast/internal/core"
 )
 
 // TestFaultSolveBitIdenticalAcrossToggles is the tentpole acceptance gate at
@@ -18,31 +19,26 @@ func TestFaultSolveBitIdenticalAcrossToggles(t *testing.T) {
 		Rounds: 8, FailRound: 2, RecoverRound: 4, DriftRound: 5,
 		FaultStorm: true,
 	}
-	type toggles struct {
-		workers, shards             int
-		disablePlane, disableRepair bool
-	}
-	var cases []toggles
+	var cases []core.Engine
 	for _, w := range []int{1, 2, 8} {
 		for _, s := range []int{0, 1, 4} {
-			cases = append(cases, toggles{workers: w, shards: s})
+			cases = append(cases, core.Engine{Workers: w, Shards: s})
 		}
 	}
-	// The plane/repair toggles only need one worker/shard point each: the
-	// cross product above already pins scheduling.
+	// The plane modes only need one worker/shard point each: the cross
+	// product above already pins scheduling.
 	cases = append(cases,
-		toggles{workers: 2, shards: 0, disablePlane: true},
-		toggles{workers: 2, shards: 0, disableRepair: true},
-		toggles{workers: 2, shards: 4, disablePlane: true},
+		core.Engine{Workers: 2, Plane: core.PlaneOff},
+		core.Engine{Workers: 2, Plane: core.PlaneRound},
+		core.Engine{Workers: 2, Shards: 4, Plane: core.PlaneOff},
 	)
 
 	want := ""
 	wantEvents := 0
 	for _, tc := range cases {
 		cfg := base
-		cfg.Workers, cfg.Shards = tc.workers, tc.shards
-		cfg.DisablePlane, cfg.DisableRepair = tc.disablePlane, tc.disableRepair
-		label := fmt.Sprintf("w%d_s%d_plane%v_repair%v", tc.workers, tc.shards, !tc.disablePlane, !tc.disableRepair)
+		cfg.Engine = tc
+		label := tc.String()
 		rep, err := FaultSolveRun(11, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -58,15 +54,15 @@ func TestFaultSolveBitIdenticalAcrossToggles(t *testing.T) {
 		}
 		// Non-vacuity: the recovery and drift shrinks must degrade plane rows
 		// on every run with the plane and repair active.
-		if !tc.disablePlane && !tc.disableRepair && rep.Plane.PlaneNonMonotone == 0 {
+		if tc.Plane <= core.PlaneRefill && rep.Plane.PlaneNonMonotone == 0 {
 			t.Fatalf("%s: zero non-monotone plane refills — the shrink path never ran", label)
 		}
 		// The fault storm floods the journal between the two final rounds, so
 		// every sharded run must take the fault-resync path.
-		if tc.shards > 0 && rep.FaultResyncs == 0 {
+		if tc.Shards > 0 && rep.FaultResyncs == 0 {
 			t.Fatalf("%s: zero fault resyncs despite the journal-flooding storm", label)
 		}
-		if tc.shards == 0 && rep.FaultResyncs != 0 {
+		if tc.Shards == 0 && rep.FaultResyncs != 0 {
 			t.Fatalf("%s: unsharded run reported %d fault resyncs", label, rep.FaultResyncs)
 		}
 	}

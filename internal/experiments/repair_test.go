@@ -30,22 +30,19 @@ func TestRepairToggleBitIdenticalScenarios(t *testing.T) {
 		}
 		var base *fp
 		for _, workers := range []int{1, 2, 8} {
-			for _, mode := range []struct {
-				disableRepair, disableSubtree bool
-			}{{false, false}, {false, true}, {true, true}} {
+			for _, plane := range []core.PlaneMode{core.PlaneSubtree, core.PlaneRefill, core.PlaneRound} {
+				e := core.Engine{Workers: workers, Plane: plane}
 				sol, err := core.MaxFlow(si.Problem, core.MaxFlowOptions{
-					Epsilon: 0.35, Parallel: true, Workers: workers,
-					DisableRepair: mode.disableRepair, DisableSubtreeRepair: mode.disableSubtree,
+					Epsilon: 0.35, Parallel: true, Engine: e,
 				})
 				if err != nil {
-					t.Fatalf("%s workers=%d repair=%v subtree=%v: %v",
-						scenario, workers, !mode.disableRepair, !mode.disableSubtree, err)
+					t.Fatalf("%s %s: %v", scenario, e, err)
 				}
 				totalSkipped += sol.Plane.PlaneSkipped
 				totalSubtree += sol.Plane.PlaneSubtreeRepaired
-				if mode.disableSubtree && sol.Plane.PlaneSubtreeRepaired != 0 {
-					t.Fatalf("%s workers=%d: subtree disabled but PlaneSubtreeRepaired=%d",
-						scenario, workers, sol.Plane.PlaneSubtreeRepaired)
+				if plane != core.PlaneSubtree && sol.Plane.PlaneSubtreeRepaired != 0 {
+					t.Fatalf("%s %s: subtree repair off but PlaneSubtreeRepaired=%d",
+						scenario, e, sol.Plane.PlaneSubtreeRepaired)
 				}
 				got := fp{mstOps: sol.MSTOps}
 				for i := range si.Sessions {
@@ -57,8 +54,7 @@ func TestRepairToggleBitIdenticalScenarios(t *testing.T) {
 					continue
 				}
 				if got != *base {
-					t.Fatalf("%s workers=%d repair=%v subtree=%v: fingerprint differs:\n%+v\nvs\n%+v",
-						scenario, workers, !mode.disableRepair, !mode.disableSubtree, got, *base)
+					t.Fatalf("%s %s: fingerprint differs:\n%+v\nvs\n%+v", scenario, e, got, *base)
 				}
 			}
 		}
@@ -78,7 +74,7 @@ func TestRepairToggleBitIdenticalScenarios(t *testing.T) {
 // point of the M2 objective.
 func TestReportDeterministicAndSane(t *testing.T) {
 	tiers := []ReportTier{{Name: "small", Nodes: 300, Sessions: 12}}
-	rows, err := MFvsMCFReport(2029, 0.3, ReportSolverOptions{}, nil, tiers)
+	rows, err := MFvsMCFReport(2029, 0.3, core.Engine{}, nil, tiers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +97,7 @@ func TestReportDeterministicAndSane(t *testing.T) {
 		}
 	}
 	again, err := MFvsMCFReport(2029, 0.3,
-		ReportSolverOptions{Workers: 2, DisablePlane: true, DisableRepair: true, Shards: 2},
+		core.Engine{Workers: 2, Shards: 2, Plane: core.PlaneOff},
 		[]string{"cdn"}, tiers)
 	if err != nil {
 		t.Fatal(err)

@@ -98,27 +98,15 @@ func reportRow(scenario, tier, solver string, si *ScaleInstance, sol *core.Solut
 	}
 }
 
-// ReportSolverOptions carries the wall-clock-only solver knobs into every
-// instance of an MF-vs-MCF report. Rows are bit-identical for every value
-// (the determinism gate sweeps them).
-type ReportSolverOptions struct {
-	Workers              int
-	DisablePlane         bool
-	DisableRepair        bool
-	DisableSubtreeRepair bool
-	// Shards runs each instance's solvers on price-exchanging shards (see
-	// core.MaxFlowOptions.Shards); 0 = unsharded.
-	Shards int
-}
-
 // MFvsMCFReport builds one instance per (scenario, tier), solves it with
 // both objectives, and returns two rows per instance (MaxFlow first). Seeds
 // derive from the base seed, the scenario's position in the *registry* (not
 // in the requested list — so a single-scenario invocation reproduces the
 // exact rows of the full table), and the tier index; the report is fully
-// deterministic (it is part of the detdump fingerprint). An empty scenario
-// list means every registered scenario.
-func MFvsMCFReport(seed uint64, eps float64, solver ReportSolverOptions, scenarios []string, tiers []ReportTier) ([]ReportRow, error) {
+// deterministic (it is part of the detdump fingerprint), and every instance
+// solves with engine, which moves wall-clock only. An empty scenario list
+// means every registered scenario.
+func MFvsMCFReport(seed uint64, eps float64, engine core.Engine, scenarios []string, tiers []ReportTier) ([]ReportRow, error) {
 	if len(scenarios) == 0 {
 		scenarios = workload.Names()
 	}
@@ -137,11 +125,7 @@ func MFvsMCFReport(seed uint64, eps float64, solver ReportSolverOptions, scenari
 		sci := registryIndex[name]
 		for ti, tier := range tiers {
 			si, err := NewScaleInstance(seed+uint64(100*sci+ti), ScaleConfig{
-				Nodes: tier.Nodes, Sessions: tier.Sessions, Scenario: name,
-				Workers: solver.Workers, DisablePlane: solver.DisablePlane,
-				DisableRepair:        solver.DisableRepair,
-				DisableSubtreeRepair: solver.DisableSubtreeRepair,
-				Shards:               solver.Shards,
+				Nodes: tier.Nodes, Sessions: tier.Sessions, Scenario: name, Engine: engine,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: report %s/%s: %w", name, tier.Name, err)

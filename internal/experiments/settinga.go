@@ -34,22 +34,10 @@ type SettingA struct {
 	// routing mode.
 	ProblemIP  *core.Problem
 	ProblemArb *core.Problem
-	// SolverWorkers is the per-solve oracle worker-pool size (0 keeps the
-	// solver sequential; the sweeps already parallelize across rows/trials).
-	// Results are bit-identical for every value.
-	SolverWorkers int
-	// SolverDisableRepair turns off the plane's cross-round dirty-source
-	// repair (see core.MaxFlowOptions.DisableRepair); results are
-	// bit-identical either way.
-	SolverDisableRepair bool
-	// SolverDisableSubtreeRepair turns off repair's incremental subtree
-	// path (see core.MaxFlowOptions.DisableSubtreeRepair); results are
-	// bit-identical either way.
-	SolverDisableSubtreeRepair bool
-	// SolverDisablePlane turns off the solvers' shared SSSP plane (see
-	// core.MaxFlowOptions.DisablePlane); results are bit-identical either
-	// way.
-	SolverDisablePlane bool
+	// Solver is each solve's engine (see core.Engine; Workers 0 keeps the
+	// solver sequential, since the sweeps already parallelize across
+	// rows/trials). Results are bit-identical for every value.
+	Solver core.Engine
 }
 
 // SettingAConfig allows scaling the environment down for tests and benches.
@@ -134,7 +122,7 @@ func (a *SettingA) MaxFlowSweep(ratios []float64, arbitrary bool) ([]FlowRow, []
 	sols := make([]*core.Solution, len(ratios))
 	errs := make([]error, len(ratios))
 	parallelFor(len(ratios), func(i int) {
-		sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: core.RatioToEpsilon(ratios[i]), Workers: a.SolverWorkers, DisablePlane: a.SolverDisablePlane, DisableRepair: a.SolverDisableRepair, DisableSubtreeRepair: a.SolverDisableSubtreeRepair})
+		sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: core.RatioToEpsilon(ratios[i]), Engine: a.Solver})
 		if err != nil {
 			errs[i] = err
 			return
@@ -180,12 +168,9 @@ func (a *SettingA) MCFSweep(ratios []float64, arbitrary bool) ([]MCFRow, []*core
 	errs := make([]error, len(ratios))
 	parallelFor(len(ratios), func(i int) {
 		res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-			Epsilon:              core.MCFRatioToEpsilon(ratios[i]),
-			SurplusPass:          true,
-			Workers:              a.SolverWorkers,
-			DisablePlane:         a.SolverDisablePlane,
-			DisableRepair:        a.SolverDisableRepair,
-			DisableSubtreeRepair: a.SolverDisableSubtreeRepair,
+			Epsilon:     core.MCFRatioToEpsilon(ratios[i]),
+			SurplusPass: true,
+			Engine:      a.Solver,
 		})
 		if err != nil {
 			errs[i] = err
@@ -273,9 +258,7 @@ func (a *SettingA) TreeLimitSweep(cfg TreeLimitConfig) (*TreeLimitResult, error)
 		p = a.ProblemArb
 	}
 	base, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
-		Epsilon: core.MCFRatioToEpsilon(cfg.BaseRatio), SurplusPass: true,
-		Workers: a.SolverWorkers, DisablePlane: a.SolverDisablePlane, DisableRepair: a.SolverDisableRepair,
-		DisableSubtreeRepair: a.SolverDisableSubtreeRepair,
+		Epsilon: core.MCFRatioToEpsilon(cfg.BaseRatio), SurplusPass: true, Engine: a.Solver,
 	})
 	if err != nil {
 		return nil, err
