@@ -20,7 +20,8 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -timeout 1800s ./internal/core/... ./internal/overlay/... ./internal/sim/...
+	$(GO) test -race -timeout 1800s ./internal/core/... ./internal/overlay/... ./internal/sim/... ./internal/routing/... ./internal/par/... ./internal/admin/...
+	$(GO) test -race -run TestFaultSolveBitIdenticalAcrossToggles ./internal/experiments
 
 fmt:
 	gofmt -w .

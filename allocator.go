@@ -333,12 +333,7 @@ func (a *Allocator) Join(s Session) (Placement, error) {
 		// fixed route table for it would be wasted Dijkstra work per join.
 		oracle, err = overlay.NewArbitraryOracle(g, os)
 	} else {
-		var rt *routing.IPRoutes
-		if a.weights != nil {
-			rt = routing.NewWeightedIPRoutes(g, os.Members, a.weights)
-		} else {
-			rt = routing.NewIPRoutes(g, os.Members)
-		}
+		rt := routing.NewMemberRoutes(g, a.weights, [][]graph.NodeID{os.Members})
 		oracle, err = overlay.NewFixedOracle(g, rt, os)
 	}
 	if err != nil {

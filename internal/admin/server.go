@@ -91,6 +91,7 @@ type Server struct {
 	ln         net.Listener
 	connMu     sync.Mutex
 	conns      map[net.Conn]struct{}
+	connsShut  bool // set under connMu once the drain waits on connWG
 	connWG     sync.WaitGroup
 	draining   atomic.Bool
 	drainOnce  sync.Once
@@ -226,10 +227,17 @@ func (s *Server) Serve() error {
 			}
 			return fmt.Errorf("admin: accept: %w", err)
 		}
+		// Register under connMu so that no Add can follow the drain's Wait;
+		// a connection accepted after the drain began is closed unserved.
 		s.connMu.Lock()
+		if s.connsShut {
+			s.connMu.Unlock()
+			conn.Close()
+			continue
+		}
 		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
 		s.connWG.Add(1)
+		s.connMu.Unlock()
 		go s.handleConn(conn)
 	}
 }
@@ -250,6 +258,9 @@ func (s *Server) finishDrain() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
+	s.connMu.Lock()
+	s.connsShut = true
+	s.connMu.Unlock()
 	done := make(chan struct{})
 	go func() { s.connWG.Wait(); close(done) }()
 	select {

@@ -815,3 +815,28 @@ func TestWatchSlowConsumer(t *testing.T) {
 		t.Fatal("serveWatch did not return after slow-consumer kill")
 	}
 }
+
+// TestDrainRightAfterDial drains the server immediately after a client
+// connects, many times over, so the accept loop's registration of the new
+// connection races the drain's wait for open connections. The connection
+// must be either served and closed by the drain or refused; Serve must
+// return nil every time, and -race must stay quiet.
+func TestDrainRightAfterDial(t *testing.T) {
+	for i := 0; i < 25; i++ {
+		h := startHarness(t, t.TempDir(), Options{DrainTimeout: 20 * time.Millisecond}, overcast.AllocatorOptions{})
+		conn, err := net.Dial("unix", h.srv.opts.SocketPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.srv.Drain()
+		select {
+		case err := <-h.serve:
+			if err != nil {
+				t.Fatalf("iteration %d: Serve after drain = %v, want nil", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d: Serve did not return after drain", i)
+		}
+		conn.Close()
+	}
+}

@@ -29,11 +29,11 @@ import (
 // fixedOracles rebuilds fixed-routing oracles for p's sessions (baselines
 // always route over fixed IP paths; that is what the systems they model do).
 func fixedOracles(p *core.Problem) ([]*overlay.FixedOracle, error) {
-	var members []graph.NodeID
-	for _, s := range p.Sessions {
-		members = append(members, s.Members...)
+	groups := make([][]graph.NodeID, len(p.Sessions))
+	for i, s := range p.Sessions {
+		groups[i] = s.Members
 	}
-	rt := routing.NewIPRoutes(p.G, members)
+	rt := routing.NewMemberRoutes(p.G, nil, groups)
 	oracles := make([]*overlay.FixedOracle, len(p.Sessions))
 	for i, s := range p.Sessions {
 		o, err := overlay.NewFixedOracle(p.G, rt, s)

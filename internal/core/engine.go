@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -167,4 +168,20 @@ func (e Engine) runnerOptions(labels []int, seed *overlay.Plane, dynamic bool) (
 		DisableSubtreeRepair: bo.DisableSubtreeRepair,
 		Dynamic:              dynamic,
 	}
+}
+
+// resolved returns e with a concrete oracle worker-pool size. An explicit
+// Workers value always wins (1 forces the sequential path even with parallel
+// set, which is what the detdump cross-worker determinism gate sweeps);
+// Workers == 0 falls back to GOMAXPROCS when parallel is set and to 1
+// otherwise.
+func (e Engine) resolved(parallel bool) Engine {
+	if e.Workers > 0 {
+		return e
+	}
+	e.Workers = 1
+	if parallel {
+		e.Workers = runtime.GOMAXPROCS(0)
+	}
+	return e
 }

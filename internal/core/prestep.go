@@ -5,6 +5,7 @@ import (
 
 	"overcast/internal/graph"
 	"overcast/internal/overlay"
+	"overcast/internal/par"
 )
 
 // This file implements the MCF beta prestep: beta_i = the single-session
@@ -56,7 +57,7 @@ func prestepBetas(p *Problem, eps float64, engine Engine) ([]float64, int, overl
 	perSessionOps := make([]int, k)
 	perSessionPlane := make([]overlay.Metrics, k)
 	prestepErrs := make([]error, k)
-	parallelFor(engine.Workers, k, func(i int) {
+	par.For(engine.Workers, k, func(_, i int) {
 		sub := singleSessionProblem(p, i)
 		mf, err := MaxFlow(sub, MaxFlowOptions{
 			Epsilon:   eps,

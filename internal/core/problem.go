@@ -68,7 +68,7 @@ type Problem struct {
 }
 
 // NewProblem validates sessions against the graph, builds hop-count IP
-// route tables restricted to session members, and instantiates one oracle
+// routes between the members of each session, and instantiates one oracle
 // per session in the requested mode.
 func NewProblem(g *graph.Graph, sessions []*overlay.Session, mode RoutingMode) (*Problem, error) {
 	return NewProblemWeighted(g, sessions, mode, nil)
@@ -85,7 +85,7 @@ func NewProblemWeighted(g *graph.Graph, sessions []*overlay.Session, mode Routin
 	if len(sessions) == 0 {
 		return nil, fmt.Errorf("core: no sessions")
 	}
-	var members []graph.NodeID
+	groups := make([][]graph.NodeID, len(sessions))
 	for i, s := range sessions {
 		if s.ID != i {
 			return nil, fmt.Errorf("core: session %d has ID %d; IDs must be dense and ordered", i, s.ID)
@@ -95,18 +95,14 @@ func NewProblemWeighted(g *graph.Graph, sessions []*overlay.Session, mode Routin
 				return nil, fmt.Errorf("core: session %d member %d outside graph", i, m)
 			}
 		}
-		members = append(members, s.Members...)
+		groups[i] = s.Members
 	}
-	// Fixed route tables are only needed in IP mode; the arbitrary oracle
-	// recomputes routes under the solver's lengths, so building per-member
-	// shortest-path trees here would be pure constructor waste.
-	var rt *routing.IPRoutes
+	// Fixed routes are only needed in IP mode, and only between members of
+	// one session; the arbitrary oracle recomputes routes under the solver's
+	// lengths, so building them here would be pure constructor waste.
+	var rt *routing.MemberRoutes
 	if mode == RoutingIP {
-		if routeWeights != nil {
-			rt = routing.NewWeightedIPRoutes(g, members, routeWeights)
-		} else {
-			rt = routing.NewIPRoutes(g, members)
-		}
+		rt = routing.NewMemberRoutes(g, routeWeights, groups)
 	}
 
 	p := &Problem{G: g, Sessions: sessions, Mode: mode, RouteWeights: routeWeights}

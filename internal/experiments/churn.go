@@ -19,6 +19,7 @@ import (
 	"overcast/internal/core"
 	"overcast/internal/graph"
 	"overcast/internal/overlay"
+	"overcast/internal/par"
 	"overcast/internal/rng"
 	"overcast/internal/routing"
 	"overcast/internal/topology"
@@ -145,9 +146,10 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 	// once on a shared SSSP plane and each session's table is assembled from
 	// plane rows — sessions sharing Zipf-hot members stop recomputing each
 	// other's trees. Plane rows are read-only after Fill, so the assembly
-	// fan-out below may read them concurrently. Arbitrary mode prefabricates
-	// no route tables at all (the dynamic oracle routes under the
-	// allocator's lengths).
+	// fan-out below may read them concurrently. Without a plane, one member
+	// route table covers every trace session's pairs. Arbitrary mode
+	// prefabricates no route tables at all (the dynamic oracle routes under
+	// the allocator's lengths).
 	delays := net.LinkDelays()
 	oracles := make([]overlay.TreeOracle, len(trace.Sessions))
 	oracleErrs := make([]error, len(trace.Sessions))
@@ -157,7 +159,16 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 	}
 	var plane *overlay.Plane
 	var planeMetrics overlay.Metrics
-	if !cfg.Arbitrary && cfg.Engine.Plane != core.PlaneOff {
+	var memberRoutes *routing.MemberRoutes
+	switch {
+	case cfg.Arbitrary: // no route tables
+	case cfg.Engine.Plane == core.PlaneOff:
+		groups := make([][]graph.NodeID, len(trace.Sessions))
+		for i, spec := range trace.Sessions {
+			groups[i] = spec.Members
+		}
+		memberRoutes = routing.NewMemberRoutes(net.Graph, delays, groups)
+	default:
 		plane = overlay.NewPlane(net.Graph)
 		requests := 0
 		for _, spec := range trace.Sessions {
@@ -169,7 +180,7 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 		plane.Fill(delays, workers)
 		planeMetrics = overlay.Metrics{PlaneRounds: 1, PlaneSources: plane.NumSources(), PlaneRequests: requests}
 	}
-	parallelWorkers(workers, len(trace.Sessions), func(i int) {
+	par.For(workers, len(trace.Sessions), func(_, i int) {
 		spec := trace.Sessions[i]
 		s, err := overlay.NewSession(i, spec.Members, spec.Demand)
 		if err != nil {
@@ -180,7 +191,7 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 			oracles[i], oracleErrs[i] = overlay.NewArbitraryOracle(net.Graph, s)
 			return
 		}
-		var rt *routing.IPRoutes
+		var rt overlay.RouteTable = memberRoutes
 		if plane != nil {
 			rt = routing.NewWeightedIPRoutesFromTrees(net.Graph, s.Members, func(src graph.NodeID) []graph.EdgeID {
 				_, parent, ok := plane.Lookup(src)
@@ -191,8 +202,6 @@ func ChurnRun(seed uint64, cfg ChurnConfig) (*ChurnReport, error) {
 				}
 				return parent
 			})
-		} else {
-			rt = routing.NewWeightedIPRoutes(net.Graph, s.Members, delays)
 		}
 		oracles[i], oracleErrs[i] = overlay.NewFixedOracle(net.Graph, rt, s)
 	})

@@ -12,10 +12,12 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"overcast/internal/core"
 	"overcast/internal/graph"
 	"overcast/internal/overlay"
+	"overcast/internal/par"
 	"overcast/internal/rng"
 	"overcast/internal/routing"
 	"overcast/internal/stats"
@@ -121,7 +123,7 @@ func (a *SettingA) MaxFlowSweep(ratios []float64, arbitrary bool) ([]FlowRow, []
 	rows := make([]FlowRow, len(ratios))
 	sols := make([]*core.Solution, len(ratios))
 	errs := make([]error, len(ratios))
-	parallelFor(len(ratios), func(i int) {
+	par.For(runtime.GOMAXPROCS(0), len(ratios), func(_, i int) {
 		sol, err := core.MaxFlow(p, core.MaxFlowOptions{Epsilon: core.RatioToEpsilon(ratios[i]), Engine: a.Solver})
 		if err != nil {
 			errs[i] = err
@@ -166,7 +168,7 @@ func (a *SettingA) MCFSweep(ratios []float64, arbitrary bool) ([]MCFRow, []*core
 	rows := make([]MCFRow, len(ratios))
 	sols := make([]*core.Solution, len(ratios))
 	errs := make([]error, len(ratios))
-	parallelFor(len(ratios), func(i int) {
+	par.For(runtime.GOMAXPROCS(0), len(ratios), func(_, i int) {
 		res, err := core.MaxConcurrentFlow(p, core.MaxConcurrentFlowOptions{
 			Epsilon:     core.MCFRatioToEpsilon(ratios[i]),
 			SurplusPass: true,
@@ -298,7 +300,7 @@ func (a *SettingA) randomPoint(p *core.Problem, base *core.Solution, n, trials i
 	k := p.K()
 	sums := make([]TreeLimitPoint, trials)
 	errs := make([]error, trials)
-	parallelFor(trials, func(t int) {
+	par.For(runtime.GOMAXPROCS(0), trials, func(_, t int) {
 		sol, err := core.SelectTrees(p, base, n, r.Split(uint64(t)))
 		if err != nil {
 			errs[t] = err
@@ -323,17 +325,13 @@ func (a *SettingA) randomPoint(p *core.Problem, base *core.Solution, n, trials i
 // session over random arrival orders.
 func (a *SettingA) onlinePoint(p *core.Problem, mu float64, n, trials int, r *rng.RNG) (TreeLimitPoint, error) {
 	k := p.K()
-	var rt *routing.IPRoutes
+	var rt *routing.MemberRoutes
 	if p.Mode != core.RoutingArbitrary {
-		var members []graph.NodeID
-		for _, s := range p.Sessions {
-			members = append(members, s.Members...)
-		}
-		rt = ipRoutesFor(p, members)
+		rt = memberRoutesFor(p, p.Sessions)
 	}
 	sums := make([]TreeLimitPoint, trials)
 	errs := make([]error, trials)
-	parallelFor(trials, func(t int) {
+	par.For(runtime.GOMAXPROCS(0), trials, func(_, t int) {
 		tr := r.Split(uint64(t))
 		// Arrival sequence: n replicas of each base session, shuffled.
 		arrivals := make([]int, 0, n*k)
@@ -401,19 +399,21 @@ func (a *SettingA) onlinePoint(p *core.Problem, mu float64, n, trials int, r *rn
 // makeOracle instantiates the oracle matching p's routing mode for a
 // (possibly re-indexed) session. rt may be nil in arbitrary mode, which
 // needs no fixed route table.
-func makeOracle(p *core.Problem, rt *routing.IPRoutes, s *overlay.Session) (overlay.TreeOracle, error) {
+func makeOracle(p *core.Problem, rt *routing.MemberRoutes, s *overlay.Session) (overlay.TreeOracle, error) {
 	if p.Mode == core.RoutingArbitrary {
 		return overlay.NewArbitraryOracle(p.G, s)
 	}
 	return overlay.NewFixedOracle(p.G, rt, s)
 }
 
-// ipRoutesFor builds fixed route tables consistent with p's routing weights.
-func ipRoutesFor(p *core.Problem, members []graph.NodeID) *routing.IPRoutes {
-	if p.RouteWeights != nil {
-		return routing.NewWeightedIPRoutes(p.G, members, p.RouteWeights)
+// memberRoutesFor builds the fixed routes within each of sessions,
+// consistent with p's routing weights.
+func memberRoutesFor(p *core.Problem, sessions []*overlay.Session) *routing.MemberRoutes {
+	groups := make([][]graph.NodeID, len(sessions))
+	for i, s := range sessions {
+		groups[i] = s.Members
 	}
-	return routing.NewIPRoutes(p.G, members)
+	return routing.NewMemberRoutes(p.G, p.RouteWeights, groups)
 }
 
 func averagePoints(pts []TreeLimitPoint, k int) TreeLimitPoint {

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"overcast/internal/core"
 	"overcast/internal/graph"
 	"overcast/internal/overlay"
+	"overcast/internal/par"
 	"overcast/internal/rng"
 	"overcast/internal/stats"
 	"overcast/internal/topology"
@@ -136,7 +138,7 @@ func (b *SettingB) Grid(cfg GridConfig) (*GridResult, error) {
 	cells := make([]*GridCell, len(jobs))
 	errs := make([]error, len(jobs))
 	root := rng.New(b.Seed ^ 0xb)
-	parallelFor(len(jobs), func(j int) {
+	par.For(runtime.GOMAXPROCS(0), len(jobs), func(_, j int) {
 		job := jobs[j]
 		cell, err := b.runCell(job.count, job.size, cfg, root.Split(uint64(j)))
 		cells[j] = cell
@@ -197,11 +199,7 @@ func (b *SettingB) runCell(count, size int, cfg GridConfig, r *rng.RNG) (*GridCe
 // number of distinct physical edges on its unicast routes to the other
 // members of its session, averaged over all members of all sessions.
 func edgesPerNode(p *core.Problem) float64 {
-	var members []graph.NodeID
-	for _, s := range p.Sessions {
-		members = append(members, s.Members...)
-	}
-	rt := ipRoutesFor(p, members)
+	rt := memberRoutesFor(p, p.Sessions)
 	total, nodes := 0, 0
 	for _, s := range p.Sessions {
 		for _, m := range s.Members {
@@ -265,7 +263,7 @@ func (b *SettingB) OnlineGrid(cfg GridConfig, limits []int, mu float64, trials i
 	outs := make([]cellOut, len(jobs))
 	errs := make([]error, len(jobs))
 	root := rng.New(b.Seed ^ 0x18)
-	parallelFor(len(jobs), func(j int) {
+	par.For(runtime.GOMAXPROCS(0), len(jobs), func(_, j int) {
 		outs[j].tpRatio = make(map[int]float64, len(limits))
 		outs[j].mrRatio = make(map[int]float64, len(limits))
 		errs[j] = b.runOnlineCell(jobs[j].count, jobs[j].size, cfg, limits, mu, trials, root.Split(uint64(j)), &outs[j].tpRatio, &outs[j].mrRatio)
@@ -301,11 +299,7 @@ func (b *SettingB) runOnlineCell(count, size int, cfg GridConfig, limits []int, 
 	if err != nil {
 		return err
 	}
-	var members []graph.NodeID
-	for _, s := range sessions {
-		members = append(members, s.Members...)
-	}
-	rt := ipRoutesFor(p, members)
+	rt := memberRoutesFor(p, sessions)
 	for li, limit := range limits {
 		tpSum, mrSum := 0.0, 0.0
 		for t := 0; t < trials; t++ {

@@ -241,11 +241,15 @@ func NewBatchRunnerOpts(g *graph.Graph, oracles []TreeOracle, opts BatchOptions)
 		r.seq = NewScratch(g)
 		return r
 	}
-	r.jobs = make(chan int)
+	// Workers range over a local copy: Close clears the field, and a worker
+	// that started after Close would otherwise read it concurrently and
+	// range over a nil channel forever.
+	jobs := make(chan int)
+	r.jobs = jobs
 	for w := 0; w < workers; w++ {
 		go func() {
 			sc := NewScratch(g)
-			for pos := range r.jobs {
+			for pos := range jobs {
 				if r.filling {
 					r.fillJob(pos, sc)
 				} else {

@@ -112,8 +112,14 @@ type FixedOracle struct {
 	maxHops int
 }
 
+// RouteTable is a fixed route table: *routing.MemberRoutes (what solvers
+// build) and *routing.IPRoutes both implement it.
+type RouteTable interface {
+	Route(u, v graph.NodeID) (routing.Path, error)
+}
+
 // NewFixedOracle resolves all pairwise IP routes of the session from rt.
-func NewFixedOracle(g *graph.Graph, rt *routing.IPRoutes, s *Session) (*FixedOracle, error) {
+func NewFixedOracle(g *graph.Graph, rt RouteTable, s *Session) (*FixedOracle, error) {
 	n := s.Size()
 	o := &FixedOracle{g: g, session: s, routes: make([][]routing.Path, n)}
 	for i := 0; i < n; i++ {

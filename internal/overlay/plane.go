@@ -1,9 +1,8 @@
 package overlay
 
 import (
-	"sync"
-
 	"overcast/internal/graph"
+	"overcast/internal/par"
 	"overcast/internal/routing"
 )
 
@@ -308,37 +307,13 @@ func (p *Plane) CopyRow(row int, seed *Plane, src graph.NodeID) bool {
 // one-shot consumers like the churn harness's oracle prefabrication;
 // BatchRunner drives FillRow from its own persistent pool instead.
 func (p *Plane) Fill(d graph.Lengths, workers int) {
-	ns := len(p.sources)
-	if ns == 0 {
-		return
-	}
-	if workers > ns {
-		workers = ns
-	}
-	if workers <= 1 {
-		sp := routing.NewDijkstraScratch(p.g)
-		for row := 0; row < ns; row++ {
-			p.FillRow(row, d, sp)
+	scratch := make([]*routing.DijkstraScratch, max(1, min(workers, len(p.sources))))
+	par.For(workers, len(p.sources), func(w, row int) {
+		if scratch[w] == nil {
+			scratch[w] = routing.NewDijkstraScratch(p.g)
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sp := routing.NewDijkstraScratch(p.g)
-			for row := range jobs {
-				p.FillRow(row, d, sp)
-			}
-		}()
-	}
-	for row := 0; row < ns; row++ {
-		jobs <- row
-	}
-	close(jobs)
-	wg.Wait()
+		p.FillRow(row, d, scratch[w])
+	})
 }
 
 // Lookup returns the SSSP row rooted at src, or ok=false when src is not

@@ -1,9 +1,12 @@
 // Package routing supplies the two unicast routing models of the paper.
 //
 // Fixed IP routing (Sec. II): every node pair communicates over a
-// pre-determined shortest path (hop count, deterministic tie-breaks), exactly
-// once, regardless of congestion. Route tables are computed with BFS per
-// source and are symmetric: route(u,v) is the reverse of route(v,u).
+// pre-determined shortest path (hop count or static weights, deterministic
+// tie-breaks), exactly once, regardless of congestion. Routes are symmetric:
+// route(u,v) is the reverse of route(v,u), read from the tree rooted at the
+// smaller endpoint. MemberRoutes holds only the within-session pairs a
+// solver's oracles use and is what problems are built on; IPRoutes keeps
+// full trees, so any two of its sources can be queried.
 //
 // Arbitrary dynamic routing (Sec. V): a pair may use any unicast path, and
 // the algorithms choose the shortest path under the *current* edge-length
@@ -13,6 +16,8 @@ package routing
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 
 	"overcast/internal/graph"
 )
@@ -68,35 +73,22 @@ func (p Path) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// IPRoutes is a fixed shortest-path (hop count) routing table over a set of
-// endpoints. BFS trees are stored per endpoint; routes between two endpoints
-// are read from the tree rooted at the smaller node id so that routing is
-// symmetric.
+// IPRoutes is a fixed shortest-path routing table over a set of endpoints.
+// Full shortest-path trees are stored per endpoint; routes between two
+// endpoints are read from the tree rooted at the smaller node id so that
+// routing is symmetric.
 type IPRoutes struct {
 	g *graph.Graph
-	// parentEdge[s][v] is the edge toward the BFS root s on v's shortest
-	// path, or -1 for v==s / unreachable.
+	// parentEdge[s][v] is the edge toward the root s on v's shortest path,
+	// or -1 for v==s / unreachable.
 	parentEdge map[graph.NodeID][]graph.EdgeID
 	hops       map[graph.NodeID][]int
 }
 
-// NewIPRoutes computes BFS shortest-path trees from every node in sources.
-// Only routes whose both endpoints are in sources can be queried.
+// NewIPRoutes computes hop-count (BFS) shortest-path trees from every node in
+// sources. Only routes whose both endpoints are in sources can be queried.
 func NewIPRoutes(g *graph.Graph, sources []graph.NodeID) *IPRoutes {
-	t := &IPRoutes{
-		g:          g,
-		parentEdge: make(map[graph.NodeID][]graph.EdgeID, len(sources)),
-		hops:       make(map[graph.NodeID][]int, len(sources)),
-	}
-	for _, s := range sources {
-		if _, done := t.parentEdge[s]; done {
-			continue
-		}
-		parent, hops := bfs(g, s)
-		t.parentEdge[s] = parent
-		t.hops[s] = hops
-	}
-	return t
+	return newIPRoutes(g, nil, sources, runtime.GOMAXPROCS(0))
 }
 
 // NewWeightedIPRoutes computes fixed shortest-path routes under static edge
@@ -106,23 +98,44 @@ func NewIPRoutes(g *graph.Graph, sources []graph.NodeID) *IPRoutes {
 // but geometrically spread rather than tie-broken arbitrarily. Symmetry is
 // preserved by reading routes from the smaller endpoint's tree.
 func NewWeightedIPRoutes(g *graph.Graph, sources []graph.NodeID, w graph.Lengths) *IPRoutes {
+	checkWeights(g, w)
+	return newIPRoutes(g, w, sources, runtime.GOMAXPROCS(0))
+}
+
+// newIPRoutes builds full trees from the distinct sources on the shared
+// search driver with the given number of workers; w == nil is hop count.
+func newIPRoutes(g *graph.Graph, w graph.Lengths, sources []graph.NodeID, workers int) *IPRoutes {
+	var roots []graph.NodeID
+	seen := make(map[graph.NodeID]bool, len(sources))
+	for _, s := range sources {
+		if !seen[s] {
+			seen[s] = true
+			roots = append(roots, s)
+		}
+	}
+	parents := make([][]graph.EdgeID, len(roots))
+	hops := make([][]int, len(roots))
+	searchTrees(g, w, roots, nil, workers, func(i int, parent []graph.EdgeID) {
+		parents[i] = slices.Clone(parent)
+		hops[i] = depthsFromParents(g, parents[i], roots[i])
+	})
+	t := &IPRoutes{
+		g:          g,
+		parentEdge: make(map[graph.NodeID][]graph.EdgeID, len(roots)),
+		hops:       make(map[graph.NodeID][]int, len(roots)),
+	}
+	for i, s := range roots {
+		t.parentEdge[s] = parents[i]
+		t.hops[s] = hops[i]
+	}
+	return t
+}
+
+// checkWeights panics unless w has one weight per edge of g.
+func checkWeights(g *graph.Graph, w graph.Lengths) {
 	if len(w) != g.NumEdges() {
 		panic("routing: weight vector size mismatch")
 	}
-	t := &IPRoutes{
-		g:          g,
-		parentEdge: make(map[graph.NodeID][]graph.EdgeID, len(sources)),
-		hops:       make(map[graph.NodeID][]int, len(sources)),
-	}
-	for _, s := range sources {
-		if _, done := t.parentEdge[s]; done {
-			continue
-		}
-		_, parent := ShortestPaths(g, s, w)
-		t.parentEdge[s] = parent
-		t.hops[s] = depthsFromParents(g, parent, s)
-	}
-	return t
 }
 
 // NewWeightedIPRoutesFromTrees builds a fixed route table from precomputed
@@ -191,34 +204,6 @@ func depthsFromParents(g *graph.Graph, parent []graph.EdgeID, s graph.NodeID) []
 	return depth
 }
 
-// bfs returns per-node parent edges and hop counts from s. Neighbour edges
-// are scanned in EdgeID order, which yields deterministic tie-breaking.
-func bfs(g *graph.Graph, s graph.NodeID) ([]graph.EdgeID, []int) {
-	n := g.NumNodes()
-	parent := make([]graph.EdgeID, n)
-	hops := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-		hops[i] = -1
-	}
-	hops[s] = 0
-	queue := make([]graph.NodeID, 0, n)
-	queue = append(queue, s)
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		ids, tos := g.Neighbors(v)
-		for k, id := range ids {
-			w := tos[k]
-			if hops[w] < 0 {
-				hops[w] = hops[v] + 1
-				parent[w] = id
-				queue = append(queue, w)
-			}
-		}
-	}
-	return parent, hops
-}
-
 // Hops returns the hop distance between two endpoints, or -1 if unreachable.
 // Both endpoints must have been passed to NewIPRoutes.
 func (t *IPRoutes) Hops(u, v graph.NodeID) int {
@@ -258,33 +243,33 @@ func (t *IPRoutes) Route(u, v graph.NodeID) (Path, error) {
 	if !ok {
 		panic(fmt.Sprintf("routing: no BFS tree for %d or %d", u, v))
 	}
-	p, err := walkToRoot(t.g, parent, root, leaf)
-	if err != nil {
-		return Path{}, err
+	p, err := treePath(t.g, parent, root, leaf)
+	if err != nil || !flip {
+		return p, err
 	}
-	// walkToRoot returns leaf->root; we want root->leaf.
-	p = p.Reverse()
-	if flip {
-		p = p.Reverse()
-	}
-	return p, nil
+	return p.Reverse(), nil
 }
 
-// walkToRoot follows parent edges from leaf up to root.
-func walkToRoot(g *graph.Graph, parent []graph.EdgeID, root, leaf graph.NodeID) (Path, error) {
-	nodes := []graph.NodeID{leaf}
-	edges := []graph.EdgeID{}
-	v := leaf
-	for v != root {
+// treePath returns the root->leaf path of the shortest-path tree given by
+// its parent edges, allocating the path exactly once.
+func treePath(g *graph.Graph, parent []graph.EdgeID, root, leaf graph.NodeID) (Path, error) {
+	hops := 0
+	for v := leaf; v != root; hops++ {
 		id := parent[v]
 		if id < 0 {
 			return Path{}, fmt.Errorf("routing: node %d unreachable from %d", leaf, root)
 		}
 		v = g.Edges[id].Other(v)
-		nodes = append(nodes, v)
-		edges = append(edges, id)
 	}
-	return Path{Nodes: nodes, Edges: edges}, nil
+	p := Path{Nodes: make([]graph.NodeID, hops+1), Edges: make([]graph.EdgeID, hops)}
+	v := leaf
+	for i := hops; i > 0; i-- {
+		id := parent[v]
+		p.Nodes[i], p.Edges[i-1] = v, id
+		v = g.Edges[id].Other(v)
+	}
+	p.Nodes[0] = root
+	return p, nil
 }
 
 // MaxHops returns the largest hop distance among all indexed endpoint pairs;
@@ -355,6 +340,13 @@ func (sc *DijkstraScratch) ShortestPathsInto(g *graph.Graph, src graph.NodeID, d
 	if len(dist) != n || len(parent) != n {
 		panic("routing: DijkstraScratch slice size mismatch")
 	}
+	sc.dijkstra(g, src, d, dist, parent, nil)
+}
+
+// dijkstra is ShortestPathsInto's search. With a non-nil target set it stops
+// as soon as the last pending target is settled (popped); the entries of
+// every node settled by then are final and equal to the full search's.
+func (sc *DijkstraScratch) dijkstra(g *graph.Graph, src graph.NodeID, d graph.Lengths, dist []float64, parent []graph.EdgeID, ts *targetSet) {
 	const inf = 1e308
 	for i := range dist {
 		dist[i] = inf
@@ -371,6 +363,9 @@ func (sc *DijkstraScratch) ShortestPathsInto(g *graph.Graph, src graph.NodeID, d
 		}
 		if sc.OnPop != nil {
 			sc.OnPop(v)
+		}
+		if ts != nil && ts.settle(v) {
+			return
 		}
 		ids, tos := g.Neighbors(v)
 		for k, id := range ids {
@@ -404,9 +399,5 @@ func DijkstraRoute(g *graph.Graph, src, dst graph.NodeID, parent []graph.EdgeID)
 	if src == dst {
 		return Path{Nodes: []graph.NodeID{src}}, nil
 	}
-	p, err := walkToRoot(g, parent, src, dst)
-	if err != nil {
-		return Path{}, err
-	}
-	return p.Reverse(), nil
+	return treePath(g, parent, src, dst)
 }
