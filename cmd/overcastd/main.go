@@ -12,11 +12,15 @@
 // (-max-sessions, -max-congestion, and -strict-admission with a positive
 // -budget).
 //
+// -engine sets the solver engine (see core.ParseEngine), e.g.
+// -engine workers=4,plane=off; "" keeps the default engine. It moves
+// wall-clock time only: allocations are identical for every engine.
+//
 // Usage:
 //
 //	overcastd -socket /run/overcast/admin.sock -state /var/lib/overcast/state.json \
 //	          [-nodes N] [-capacity C] [-seed S] [-routing ip|arbitrary]
-//	          [-mu MU] [-epsilon E] [-workers W] [-budget PHASES]
+//	          [-mu MU] [-epsilon E] [-engine SPEC] [-budget PHASES]
 //	          [-snapshot-every DUR] [-max-sessions N] [-max-congestion C]
 //	          [-strict-admission] [-drain-timeout DUR]
 //
@@ -39,6 +43,7 @@ import (
 
 	"overcast"
 	"overcast/internal/admin"
+	"overcast/internal/core"
 )
 
 func main() {
@@ -51,23 +56,28 @@ func main() {
 	routingFlag := flag.String("routing", "ip", "ip | arbitrary")
 	mu := flag.Float64("mu", 30, "online step size")
 	epsilon := flag.Float64("epsilon", 0.1, "FPTAS error parameter for snapshot/rebalance allocations")
-	workers := flag.Int("workers", 0, "solver worker-pool size (0 = GOMAXPROCS)")
+	spec := flag.String("engine", "", "solver engine spec, e.g. workers=4,plane=off (\"\" = default); allocations are engine-independent")
 	budget := flag.Int("budget", 0, "warm RepairPhaseBudget in session-phases (0 = unbounded, <0 = always cold)")
 	maxSessions := flag.Int("max-sessions", 0, "admission: reject joins beyond this many active sessions (0 = unlimited)")
 	maxCongestion := flag.Float64("max-congestion", 0, "admission: reject joins pushing online congestion above this (0 = unlimited)")
 	strict := flag.Bool("strict-admission", false, "admission: reject joins warm repair cannot absorb within -budget")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "how long a drain waits for idle connections")
 	flag.Parse()
+	engine, err := core.ParseEngine(*spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "overcastd:", err)
+		os.Exit(2)
+	}
 
 	if err := run(*socket, *state, *snapshotEvery, *nodes, *capacity, *seed, *routingFlag,
-		*mu, *epsilon, *workers, *budget, *maxSessions, *maxCongestion, *strict, *drainTimeout); err != nil {
+		*mu, *epsilon, engine, *budget, *maxSessions, *maxCongestion, *strict, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "overcastd:", err)
 		os.Exit(1)
 	}
 }
 
 func run(socket, state string, snapshotEvery time.Duration, nodes int, capacity float64, seed uint64,
-	routingFlag string, mu, epsilon float64, workers, budget, maxSessions int, maxCongestion float64,
+	routingFlag string, mu, epsilon float64, engine core.Engine, budget, maxSessions int, maxCongestion float64,
 	strict bool, drainTimeout time.Duration) error {
 
 	logger := log.New(os.Stderr, "overcastd: ", log.LstdFlags)
@@ -81,7 +91,7 @@ func run(socket, state string, snapshotEvery time.Duration, nodes int, capacity 
 		routing = overcast.RoutingArbitrary
 	}
 	alloc, err := overcast.NewAllocator(net, overcast.AllocatorOptions{
-		Mu: mu, Epsilon: epsilon, Routing: routing, Engine: overcast.Engine{Workers: workers},
+		Mu: mu, Epsilon: epsilon, Routing: routing, Engine: engine,
 		RepairPhaseBudget: budget,
 	})
 	if err != nil {

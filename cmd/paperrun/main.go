@@ -6,8 +6,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
+	"overcast/internal/core"
 	"overcast/internal/experiments"
 	"overcast/internal/stats"
 )
@@ -15,23 +17,28 @@ import (
 func main() {
 	part := flag.String("part", "a", "a = Setting A sweeps, b = Setting B grid")
 	seed := flag.Uint64("seed", 2004, "seed")
-	workers := flag.Int("workers", 0, "solver oracle worker-pool size (0 = sequential solves; the sweeps parallelize across rows/cells); outputs are worker-count independent")
+	spec := flag.String("engine", "", "solver engine spec, e.g. workers=8,plane=off (\"\" = default: sequential solves, since the sweeps parallelize across rows/cells); outputs are engine-independent")
 	flag.Parse()
+	engine, err := core.ParseEngine(*spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "paperrun:", err)
+		os.Exit(2)
+	}
 	switch *part {
 	case "a":
-		runA(*seed, *workers)
+		runA(*seed, engine)
 	case "b":
-		runB(*seed, *workers)
+		runB(*seed, engine)
 	}
 }
 
-func runA(seed uint64, workers int) {
+func runA(seed uint64, engine core.Engine) {
 	start := time.Now()
 	a, err := experiments.NewSettingA(seed, experiments.DefaultSettingA())
 	if err != nil {
 		panic(err)
 	}
-	a.Solver.Workers = workers
+	a.Solver = engine
 	fmt.Printf("# Setting A: %s, sessions %d+%d members, seed %d\n",
 		a.Net.Name, a.Sessions[0].Size(), a.Sessions[1].Size(), seed)
 
@@ -92,13 +99,13 @@ func util(mf, mcf interface{ Utilizations() []float64 }, label string) {
 		len(uc), stats.Mean(uc), stats.Quantile(uc, 0.5))
 }
 
-func runB(seed uint64, workers int) {
+func runB(seed uint64, engine core.Engine) {
 	start := time.Now()
 	b, err := experiments.NewSettingB(seed, experiments.SettingBConfig{ASes: 5, RoutersPerAS: 20, Capacity: 100})
 	if err != nil {
 		panic(err)
 	}
-	b.Solver.Workers = workers
+	b.Solver = engine
 	fmt.Printf("# Setting B: %s (scaled: 5 AS x 20 routers; paper: 10x100), seed %d\n", b.Net.Name, seed)
 	cfg := experiments.GridConfig{
 		SessionCounts: []int{1, 3, 5, 7, 9},

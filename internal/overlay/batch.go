@@ -20,7 +20,9 @@ import (
 // mutated after they are returned, so trees extracted from a batch stay
 // valid (and bitwise intact) indefinitely; with cross-round repair enabled a
 // later batch may return the *same* Tree pointer again when the length
-// ledger proves the recomputation would be identical (the tree cache) —
+// ledger proves the recomputation would be identical (the tree cache), and
+// fixed oracles return memoised trees whenever Prim picks a pair set it has
+// picked before on the same worker (see FixedOracle.MinTreeWith) —
 // callers must not rely on pointer freshness, only on immutability
 // (TestBatchResultSliceReusedAcrossCalls pins the slice half of this
 // contract, TestTreeCacheServesIdenticalTrees the tree half).
@@ -774,7 +776,9 @@ func (r *BatchRunner) decideTreeCache(n int) {
 // current lengths and returns one result per id, in id-list order, with Len
 // left zero. ls must not be mutated until MinTrees returns. The returned
 // slice is reused by the next call — consume it first. Trees in the results
-// do not alias runner state and stay valid indefinitely.
+// do not alias the slice and stay valid indefinitely, but they may be shared:
+// a later batch may return the same *Tree again (the plane's tree cache, a
+// fixed oracle's per-worker memo), so callers must not mutate them.
 func (r *BatchRunner) MinTrees(ls *graph.LengthStore, ids []int) []BatchResult {
 	return r.run(ls, ids, false)
 }

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 
 	"overcast/internal/graph"
 	"overcast/internal/routing"
@@ -28,7 +29,9 @@ type TreeOracle interface {
 type ScratchOracle interface {
 	TreeOracle
 	// MinTreeWith is MinTree reusing sc's buffers. The returned tree does
-	// not alias sc and stays valid across further calls.
+	// not alias sc's buffers and stays valid across further calls, but it
+	// may be shared: an oracle may return the same *Tree again from sc's
+	// memo (FixedOracle does), so callers must not mutate it.
 	MinTreeWith(d graph.Lengths, sc *Scratch) (*Tree, error)
 }
 
@@ -46,8 +49,11 @@ func MinTreeWith(o TreeOracle, d graph.Lengths, sc *Scratch) (*Tree, error) {
 // served from a shared Plane: the oracle names the Dijkstra sources MinTree
 // would run, and can assemble its tree from plane rows computed elsewhere.
 // ArbitraryOracle implements it (its entire per-call Dijkstra cost is
-// shareable); FixedOracle does not (its routes are resolved at construction,
-// so there is nothing to share per call).
+// shareable); FixedOracle does not: its routes are resolved at construction,
+// so there is no SSSP work to share per call. Its sharing happens at the
+// tree level instead — MinTreeWith returns memoised trees from the Scratch,
+// so the trees it hands out may be shared across calls and must not be
+// mutated.
 type PlaneOracle interface {
 	ScratchOracle
 	// PlaneSources returns the Dijkstra source nodes a MinTree call runs —
@@ -156,7 +162,21 @@ func (o *FixedOracle) MinTree(d graph.Lengths) (*Tree, error) {
 	return o.MinTreeWith(d, NewScratch(o.g))
 }
 
-// MinTreeWith implements ScratchOracle.
+// maxMemoMembers is the largest session whose member pairs fit a uint64
+// mask: 11·10/2 = 55 <= 64 < 12·11/2.
+const maxMemoMembers = 11
+
+// pairBit returns the bit of member pair (i,j), i<j, in an n-member
+// session's pair mask: pairs are numbered row by row over the upper triangle.
+func pairBit(n, i, j int) uint64 {
+	return 1 << uint(i*(2*n-i-1)/2+j-i-1)
+}
+
+// MinTreeWith implements ScratchOracle. Routes are fixed, so the tree is a
+// function of the pairs Prim picks alone: for sessions of up to
+// maxMemoMembers members the pick is encoded as a pair mask and a tree
+// already built under the same mask is returned from sc's memo, without
+// allocating. Returned trees may therefore be shared across calls.
 func (o *FixedOracle) MinTreeWith(d graph.Lengths, sc *Scratch) (*Tree, error) {
 	n := o.session.Size()
 	// Precompute pairwise route lengths under d.
@@ -168,19 +188,32 @@ func (o *FixedOracle) MinTreeWith(d graph.Lengths, sc *Scratch) (*Tree, error) {
 		}
 	}
 	raw := primInto(sc, n, func(i, j int) float64 { return w[i*n+j] })
-	// Normalize pairs to i<j up front: o.routes[i][j] is already oriented
-	// i -> j, so no route reversal is needed.
-	pairs := make([][2]int, len(raw))
-	routes := make([]routing.Path, len(raw))
+	// Normalize the scratch-owned pairs to i<j in place: o.routes[i][j] is
+	// already oriented i -> j, so no route reversal is needed.
+	memo := n <= maxMemoMembers
+	var mask uint64
 	for k, p := range raw {
-		i, j := p[0], p[1]
-		if i > j {
-			i, j = j, i
+		i, j := min(p[0], p[1]), max(p[0], p[1])
+		raw[k] = [2]int{i, j}
+		if memo {
+			mask |= pairBit(n, i, j)
 		}
-		pairs[k] = [2]int{i, j}
-		routes[k] = o.routes[i][j]
 	}
-	return newSortedTree(sc, o.session.ID, pairs, routes), nil
+	if memo {
+		if t := sc.memoTree(o, mask); t != nil {
+			return t, nil
+		}
+	}
+	pairs := slices.Clone(raw)
+	routes := make([]routing.Path, len(pairs))
+	for k, p := range pairs {
+		routes[k] = o.routes[p[0]][p[1]]
+	}
+	t := newSortedTree(sc, o.session.ID, pairs, routes)
+	if memo {
+		sc.storeTree(o, mask, t)
+	}
+	return t, nil
 }
 
 // ArbitraryOracle is the Sec. V oracle: overlay edges follow the *shortest*

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"overcast/internal/graph"
 	"overcast/internal/routing"
@@ -141,21 +140,23 @@ func (t *Tree) Use() []EdgeUse {
 // identical traffic, under fixed or arbitrary routing alike.
 func (t *Tree) Key() string {
 	if t.key == "" {
-		var sb strings.Builder
-		sb.WriteString("s")
-		sb.WriteString(strconv.Itoa(t.SessionID))
+		// Append digits in place: strconv.Itoa would allocate a string for
+		// every edge id of 100 or more.
+		b := make([]byte, 0, 64)
+		b = append(b, 's')
+		b = strconv.AppendInt(b, int64(t.SessionID), 10)
 		for k, p := range t.Pairs {
-			sb.WriteByte('|')
-			sb.WriteString(strconv.Itoa(p[0]))
-			sb.WriteByte('-')
-			sb.WriteString(strconv.Itoa(p[1]))
-			sb.WriteByte(':')
+			b = append(b, '|')
+			b = strconv.AppendInt(b, int64(p[0]), 10)
+			b = append(b, '-')
+			b = strconv.AppendInt(b, int64(p[1]), 10)
+			b = append(b, ':')
 			for _, e := range t.Routes[k].Edges {
-				sb.WriteString(strconv.Itoa(e))
-				sb.WriteByte(',')
+				b = strconv.AppendInt(b, int64(e), 10)
+				b = append(b, ',')
 			}
 		}
-		t.key = sb.String()
+		t.key = string(b)
 	}
 	return t.key
 }

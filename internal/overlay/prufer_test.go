@@ -236,12 +236,26 @@ func BenchmarkMinTreeFixed(b *testing.B) {
 		b.Fatal(err)
 	}
 	d := graph.NewLengths(g, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.MinTree(d); err != nil {
-			b.Fatal(err)
+	// hit: a pooled scratch under unchanged lengths, so every call after the
+	// first is served from the tree memo. miss: MinTree's fresh scratch,
+	// which builds, sorts and hashes the tree every call.
+	b.Run("hit", func(b *testing.B) {
+		sc := NewScratch(g)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := o.MinTreeWith(d, sc); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := o.MinTree(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkMinTreeArbitrary(b *testing.B) {

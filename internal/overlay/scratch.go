@@ -39,6 +39,43 @@ type Scratch struct {
 
 	// Edge-id buffer for Use computation (sort + run-length encode).
 	edgeIDs []int
+
+	// Fixed-route tree memo: a fixed oracle's tree is fully determined by
+	// the member pairs Prim picks, so trees are kept by (oracle, pair mask)
+	// and handed out again on a repeat pick. Entries are fully precomputed
+	// and never mutated. Cleared when it reaches treeMemoCap.
+	memo map[treeMemoKey]*Tree
+}
+
+// treeMemoKey names one fixed-oracle tree: the oracle and the bitmask of
+// chosen pairs over its n(n-1)/2 member pairs (see pairBit).
+type treeMemoKey struct {
+	o    *FixedOracle
+	mask uint64
+}
+
+// treeMemoCap bounds each Scratch's tree memo, so long-lived scratches (the
+// online allocator's, a warm runner's workers') stay bounded however many
+// sessions pass through them. A full memo is cleared and refilled.
+const treeMemoCap = 2048
+
+// memoTree returns the memoised tree for (o, mask), if any.
+func (sc *Scratch) memoTree(o *FixedOracle, mask uint64) *Tree {
+	return sc.memo[treeMemoKey{o, mask}]
+}
+
+// storeTree memoises t under (o, mask). t's lazily computed fields are filled
+// first, so the shared tree is immutable from here on.
+func (sc *Scratch) storeTree(o *FixedOracle, mask uint64, t *Tree) {
+	t.Use()
+	t.KeyHash()
+	t.Key()
+	if sc.memo == nil {
+		sc.memo = make(map[treeMemoKey]*Tree)
+	} else if len(sc.memo) >= treeMemoCap {
+		clear(sc.memo)
+	}
+	sc.memo[treeMemoKey{o, mask}] = t
 }
 
 // NewScratch returns a scratch bound to g. Buffers grow lazily with use, so

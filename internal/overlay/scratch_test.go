@@ -75,23 +75,26 @@ func TestMinTreeWithMatchesMinTree(t *testing.T) {
 }
 
 // TestMinTreeWithAllocs is the allocation regression test for the MOST hot
-// path: with a pooled scratch, a fixed-oracle MinTree call may only allocate
-// the returned tree (struct, pairs, routes, use — a handful of allocations,
-// where the pre-refactor path made dozens growing with session size and
-// route length).
+// path: with a pooled scratch, a repeated fixed-oracle pick is served from
+// the scratch's tree memo — the same *Tree, allocating nothing — and an
+// arbitrary-oracle call may only allocate the returned tree.
 func TestMinTreeWithAllocs(t *testing.T) {
 	g, fo, ao := scratchEnv(t, 6, 200, 8)
 	sc := NewScratch(g)
 	d := graph.NewLengths(g, 1)
 
+	first, err := fo.MinTreeWith(d, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fixed := testing.AllocsPerRun(50, func() {
-		if _, err := fo.MinTreeWith(d, sc); err != nil {
-			t.Fatal(err)
+		got, err := fo.MinTreeWith(d, sc)
+		if err != nil || got != first {
+			t.Fatalf("repeat call returned %p (err %v), want memoised %p", got, err, first)
 		}
 	})
-	// Tree struct + pairs + routes + use = 4; allow one stray.
-	if fixed > 5 {
-		t.Fatalf("FixedOracle.MinTreeWith allocates %v per run, want <= 5", fixed)
+	if fixed != 0 {
+		t.Fatalf("FixedOracle.MinTreeWith memo hit allocates %v per run, want 0", fixed)
 	}
 
 	arbitrary := testing.AllocsPerRun(50, func() {
